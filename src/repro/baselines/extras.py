@@ -28,9 +28,6 @@ class DirectDeliveryProtocol(RoutingProtocol):
 
     name = "Direct"
     uses_contacts = False
-    #: all state is the per-node visited-landmark set, which travels with
-    #: the node — safe to migrate between shard processes
-    shard_safe = True
 
     def __init__(self) -> None:
         self._visited: Dict[int, Set[int]] = {}
@@ -42,14 +39,6 @@ class DirectDeliveryProtocol(RoutingProtocol):
         for p in station.buffer.packets():
             if p.dst in self._visited.get(node.nid, ()) and node.buffer.can_accept(p):
                 world.station_to_node(station, node, p)
-
-    # -- shard API -----------------------------------------------------------------
-    def export_node_state(self, nid: int) -> object:
-        return self._visited.pop(nid, None)
-
-    def import_node_state(self, nid: int, state: object) -> None:
-        if state is not None:
-            self._visited[nid] = state
 
 
 class EpidemicProtocol(RoutingProtocol):

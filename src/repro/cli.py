@@ -216,7 +216,6 @@ def _print_scenario_result(res: ScenarioResult) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    shards = args.shards if args.shards is not None and args.shards >= 2 else None
     if args.run_dir:
         # checkpointed execution works on a scenario; synthesize a
         # single-point one from the workload flags when none was given
@@ -236,10 +235,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "protocols": [args.protocol],
                 "seeds": [args.seed],
             }).validate()
-        return _run_resumable_cli(
-            args, spec, shards if shards is not None else spec.shards,
-            args.run_dir,
-        )
+        return _run_resumable_cli(args, spec, args.run_dir)
     if args.scenario:
         spec = _load_scenario_arg(args.scenario)
         if spec.n_points() != 1:
@@ -250,14 +246,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if shards is None and spec.shards is not None:
-            shards = spec.shards
-        if shards is not None:
-            from repro.eval.sharded import run_scenario_sharded
-
-            res, _infos = run_scenario_sharded(spec, shards=shards)
-        else:
-            res = run_scenario(spec, jobs=parse_jobs(args.jobs))
+        res = run_scenario(spec, jobs=parse_jobs(args.jobs))
         _maybe_record(args, ingest_scenario_result, res, kind="run")
         result = res.results[0].metrics
         point = res.points[0]
@@ -272,24 +261,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     point = PointSpec(
         protocol=args.protocol, memory_kb=args.memory, rate=args.rate, seed=args.seed
     )
-    if shards is not None:
-        from repro.eval.runner import point_scenario_dict
-        from repro.eval.sharded import execute_point_sharded
-
-        config = profile.sim_config(
-            memory_kb=point.memory_kb, rate=point.rate, seed=point.seed
-        )
-        point = dataclasses.replace(
-            point, scenario=point_scenario_dict(tspec, point, config)
-        )
-        sharded_result, _info = execute_point_sharded(
-            trace, point, config, shards=shards
-        )
-        results = [sharded_result]
-    else:
-        results = run_points(
-            trace, profile, [point], jobs=parse_jobs(args.jobs), trace_spec=tspec
-        )
+    results = run_points(
+        trace, profile, [point], jobs=parse_jobs(args.jobs), trace_spec=tspec
+    )
     _maybe_record(
         args, ingest_experiment_results, results,
         kind="run", label=f"run:{args.protocol}",
@@ -522,32 +496,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(spec.to_json())
         return 0
     # action == "run"
-    shards = args.shards if args.shards is not None else spec.shards
     if args.run_dir:
-        if shards is not None and shards < 2:
-            shards = None
-        return _run_resumable_cli(args, spec, shards, args.run_dir)
-    if shards is not None and shards >= 2:
-        from repro.eval.sharded import run_scenario_sharded
-
-        res, infos = run_scenario_sharded(spec, shards=shards)
-        if args.span_tree:
-            tree_payload = [
-                {
-                    "protocol": point.protocol,
-                    "seed": point.seed,
-                    "execution": info.get("execution"),
-                    "span_tree": info.get("span_tree"),
-                }
-                for point, info in zip(res.points, infos)
-            ]
-            with open(args.span_tree, "w", encoding="utf-8") as fh:
-                json.dump(tree_payload, fh, indent=2, sort_keys=True)
-            print(f"wrote {len(tree_payload)} span trees to {args.span_tree}")
-    else:
-        if shards is not None:
-            print(f"--shards {shards} < 2: running serially", file=sys.stderr)
-        res = run_scenario(spec, jobs=parse_jobs(args.jobs))
+        return _run_resumable_cli(args, spec, args.run_dir)
+    res = run_scenario(spec, jobs=parse_jobs(args.jobs))
     _maybe_record(args, ingest_scenario_result, res)
     return _scenario_output(args, res)
 
@@ -585,7 +536,7 @@ def _record_partial(args: argparse.Namespace, results, label: str) -> int:
 
 
 def _run_resumable_cli(
-    args: argparse.Namespace, spec: ScenarioSpec, shards, run_dir_path: str
+    args: argparse.Namespace, spec: ScenarioSpec, run_dir_path: str
 ) -> int:
     """Create-or-continue a checkpointed run directory (``--run-dir``)."""
     from repro.eval.resume import create_run, run_resumable
@@ -595,8 +546,8 @@ def _run_resumable_cli(
     every = getattr(args, "every_events", None) or DEFAULT_EVERY_EVENTS
     label = spec.name or "scenario"
     try:
-        rd = create_run(run_dir_path, spec, shards=shards, every_events=every)
-        res, _infos = run_resumable(spec, rd, shards=shards, every_events=every)
+        rd = create_run(run_dir_path, spec, every_events=every)
+        res, _infos = run_resumable(spec, rd, every_events=every)
     except CheckpointError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -645,27 +596,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
 
     spec = _load_scenario_arg(args.scenario)
-    kill = None
-    if args.kill_shard:
-        try:
-            s, k = (int(x) for x in args.kill_shard.split(":"))
-        except ValueError:
-            print("--kill-shard wants SHARD:EPOCH (e.g. 1:1)", file=sys.stderr)
-            return 2
-        kill = (s, k)
     chaos = ChaosSpec(
         seed=args.seed,
         point=args.point,
-        kill_shard=kill,
         interrupt_after=args.interrupt_after,
         truncate_checkpoint=args.truncate_checkpoint,
         hold_store_lock_ms=args.hold_lock_ms,
     )
     run_dir = args.run_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    shards = args.shards if args.shards is not None else spec.shards
     try:
         report, result = run_chaos(
-            spec, chaos, run_dir, shards=shards, every_events=args.every_events
+            spec, chaos, run_dir, every_events=args.every_events
         )
     except RuntimeError as exc:  # recovery itself failed — that IS the verdict
         print(f"chaos: unrecovered executor failure: {exc!r}", file=sys.stderr)
@@ -1372,9 +1313,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p)
     add_scenario_opt(p)
     add_record(p)
-    p.add_argument("--shards", type=positive_int, default=None, metavar="N",
-                   help="split the run across N subarea-sharded processes "
-                        "(metrics identical to serial; see docs/scaling.md)")
     add_run_dir(p)
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON (with run provenance)")
@@ -1479,13 +1417,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario JSON file(s) or preset name(s)")
     add_jobs(p)
     add_record(p)
-    p.add_argument("--shards", type=positive_int, default=None, metavar="N",
-                   help="(run) split every point across N subarea-sharded "
-                        "processes; overrides the manifest's 'shards' block "
-                        "(metrics identical to serial; see docs/scaling.md)")
-    p.add_argument("--span-tree", default=None, metavar="FILE",
-                   help="(run, with --shards) write each point's merged "
-                        "span tree and shard topology as JSON")
     add_run_dir(p)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="(run) write the full results JSON to FILE")
@@ -1516,8 +1447,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor-fault injection: kill/crash/corrupt, then assert "
              "recovery + metric parity",
         description="Run a scenario under an injected executor failure "
-                    "(shard worker killed mid-epoch, serial engine crashed "
-                    "between checkpoints, checkpoint truncated, store lock "
+                    "(engine crashed between checkpoints, checkpoint truncated, store lock "
                     "held) and verify the execution plane recovers to "
                     "bit-identical metrics. 'repro resilience' injects "
                     "faults into the simulated DTN; 'repro chaos' injects "
@@ -1525,8 +1455,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Exits non-zero when recovery or parity fails.",
     )
     p.add_argument("scenario", help="scenario JSON file or preset name")
-    p.add_argument("--shards", type=positive_int, default=None, metavar="N",
-                   help="run points sharded; enables --kill-shard injection")
     p.add_argument("--run-dir", default=None, metavar="DIR",
                    help="run directory for checkpoints + recovery.jsonl "
                         "(default: a fresh temp dir)")
@@ -1534,11 +1462,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derives any injection knob left unset (default 0)")
     p.add_argument("--point", type=int, default=None,
                    help="grid point index to target (default: from --seed)")
-    p.add_argument("--kill-shard", default=None, metavar="SHARD:EPOCH",
-                   help="kill this shard worker at this epoch (sharded runs)")
     p.add_argument("--interrupt-after", type=positive_int, default=None,
                    metavar="N",
-                   help="crash the serial engine after its N-th checkpoint")
+                   help="crash the engine after its N-th checkpoint")
     p.add_argument("--truncate-checkpoint", action="store_true",
                    help="also corrupt the newest checkpoint before resuming "
                         "(pair with --interrupt-after 2 or more)")

@@ -31,6 +31,7 @@ balancing via backup next hops (IV-E.3) and routing to mobile nodes
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional
@@ -186,6 +187,18 @@ class DTNFlowProtocol(RoutingProtocol):
     def setup(self, world: World) -> None:
         time_unit = world.config.time_unit
         t0 = world.trace.start_time
+        span = (1.0 - world.config.warmup_fraction) * world.trace.duration
+        if time_unit >= span:
+            # the bandwidth estimator folds only at unit boundaries, so a
+            # unit this long measures links late in the trace or never
+            warnings.warn(
+                f"time_unit {time_unit:g} s is not shorter than the trace's "
+                f"post-warm-up span {span:g} s; DTN-FLOW's bandwidth "
+                "estimator completes at most one unit, so few or no routes "
+                "form (derive the unit from the trace: profile_for_trace)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         self._stations = {
             lid: _StationState(lid, time_unit, self.config, t0)
             for lid in world.stations
@@ -657,54 +670,6 @@ class DTNFlowProtocol(RoutingProtocol):
             if entry is not None:
                 st.load.record_assigned(entry.next_hop, t)
         self._forward_station_packets(world, station, t)
-
-    # -- shard API ------------------------------------------------------------------
-    @property
-    def shard_safe(self) -> bool:
-        """Whether this configuration can run sharded (see docs/scaling.md).
-
-        The core algorithm keeps only station-local state (bandwidth
-        estimators, routing tables, load monitors) and node-carried state
-        (predictor, accuracy, carried reports) — exactly the subarea
-        decomposition the paper argues for.  Three extensions break it:
-        loop correction holds a cross-landmark hold-down registry, and the
-        node-routing / node-to-node extensions read the global node-location
-        registry or require contact events (whose subsampling draws from the
-        world RNG in trace order).
-        """
-        cfg = self.config
-        return not (
-            cfg.enable_loop_correction
-            or cfg.enable_node_routing
-            or cfg.enable_node_to_node
-        )
-
-    def export_node_state(self, nid: int) -> object:
-        return self._nodes.pop(nid, None)
-
-    def import_node_state(self, nid: int, state: object) -> None:
-        self._nodes[nid] = state if state is not None else _NodeState(self.config)
-
-    def export_node_maintenance(self, nid: int) -> object:
-        ns = self._nodes.get(nid)
-        if ns is None:
-            return None
-        snapshot, report = ns.carried_snapshot, ns.carried_report
-        if snapshot is None and report is None:
-            return None
-        ns.carried_snapshot = None
-        ns.carried_report = None
-        return (snapshot, report)
-
-    def import_node_maintenance(self, nid: int, payload: object) -> None:
-        if payload is None:
-            return
-        ns = self._nodes.get(nid)
-        if ns is None:
-            raise RuntimeError(
-                f"import_node_maintenance({nid}) before import_node_state"
-            )
-        ns.carried_snapshot, ns.carried_report = payload
 
     # -- IV-E.4 public API ------------------------------------------------------------
     def address_to_node(self, packet: Packet, dest_node: int) -> None:

@@ -2,15 +2,14 @@
 
 ``repro resilience`` degrades the *simulated* DTN (landmark outages, node
 churn — see :mod:`repro.sim.faults`); this module degrades the *executor*
-itself: shard workers are killed mid-epoch, serial runs crash between
-checkpoints, checkpoint files are truncated, the experiment store's write
+itself: runs crash between checkpoints, checkpoint files are truncated, the experiment store's write
 lock is held by a rival connection.  A chaos run passes only if the
 execution plane recovers *and* the recovered metrics are bit-identical to
 an undisturbed baseline — the executor analogue of the resilience gate.
 
 The injection plan is a :class:`ChaosSpec`.  Every knob is deterministic:
 an explicit plan replays exactly, and the ``seed`` derives a concrete plan
-for whatever grid/shard shape it meets, so CI can run ``repro chaos
+for whatever grid it meets, so CI can run ``repro chaos
 --seed k`` without hand-picking targets.  See docs/reliability.md.
 """
 
@@ -42,10 +41,8 @@ __all__ = [
 class ChaosSpec:
     """A deterministic executor-failure injection plan.
 
-    ``point`` indexes the scenario grid (grid order); ``kill_shard`` is a
-    ``(shard, epoch)`` pair making that worker die abruptly at epoch
-    ``epoch`` (sharded runs only); ``interrupt_after`` crashes the serial
-    engine right after its n-th checkpoint commit; ``truncate_checkpoint``
+    ``point`` indexes the scenario grid (grid order); ``interrupt_after``
+    crashes the engine right after its n-th checkpoint commit; ``truncate_checkpoint``
     additionally corrupts the newest checkpoint before resuming (the
     resume must fall back to its predecessor, so pair it with
     ``interrupt_after >= 2``); ``hold_store_lock_ms`` has a rival
@@ -55,31 +52,22 @@ class ChaosSpec:
 
     seed: int = 0
     point: Optional[int] = None
-    kill_shard: Optional[Tuple[int, int]] = None
     interrupt_after: Optional[int] = None
     truncate_checkpoint: bool = False
     hold_store_lock_ms: Optional[int] = None
 
-    def resolve(self, n_points: int, shards: Optional[int]) -> "ChaosSpec":
+    def resolve(self, n_points: int) -> "ChaosSpec":
         """Pin every unset knob deterministically from the seed."""
         if n_points <= 0:
             raise ValueError("cannot resolve a chaos plan for an empty grid")
         point = self.point if self.point is not None else self.seed % n_points
-        kill = self.kill_shard
         interrupt = self.interrupt_after
-        if kill is None and interrupt is None:
-            if shards is not None and shards >= 2:
-                kill = (self.seed % shards, 1 + self.seed % 2)
-            else:
-                interrupt = 2 if self.truncate_checkpoint else 1 + self.seed % 2
-        return dataclasses.replace(
-            self, point=point, kill_shard=kill, interrupt_after=interrupt
-        )
+        if interrupt is None:
+            interrupt = 2 if self.truncate_checkpoint else 1 + self.seed % 2
+        return dataclasses.replace(self, point=point, interrupt_after=interrupt)
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"seed": self.seed, "point": self.point}
-        if self.kill_shard is not None:
-            out["kill_shard"] = list(self.kill_shard)
         if self.interrupt_after is not None:
             out["interrupt_after"] = self.interrupt_after
         if self.truncate_checkpoint:
@@ -177,10 +165,8 @@ def run_chaos(
     chaos: ChaosSpec,
     run_dir: Union[str, Path],
     *,
-    shards: Optional[int] = None,
     every_events: int = 50_000,
     baseline: Optional[ScenarioResult] = None,
-    restart_backoff: float = 0.1,
 ) -> Tuple[ChaosReport, ScenarioResult]:
     """Run ``spec`` under the ``chaos`` injection plan and judge recovery.
 
@@ -188,8 +174,7 @@ def run_chaos(
 
     1. an undisturbed baseline run (serial, or ``baseline`` if the caller
        already has one — metrics are execution-mode-invariant);
-    2. the chaos run inside ``run_dir`` with the injection armed — a
-       killed shard worker must be supervised back to life, a serial
+    2. the chaos run inside ``run_dir`` with the injection armed — the
        crash leaves the directory ready to resume (optionally with its
        newest checkpoint truncated first);
     3. if act 2 crashed, ``resume_run`` finishes the directory with the
@@ -199,8 +184,7 @@ def run_chaos(
     baseline exactly *and* the expected ``executor.*`` recovery events
     were emitted.  ``repro chaos`` exits non-zero otherwise.
     """
-    effective_shards = shards if shards is not None else spec.shards
-    plan = chaos.resolve(spec.n_points(), effective_shards)
+    plan = chaos.resolve(spec.n_points())
     report = ChaosReport(
         ok=False, plan=plan.as_dict(), n_points=spec.n_points(), resumed=False
     )
@@ -211,23 +195,14 @@ def run_chaos(
         baseline = run_scenario(spec)
     base_values = [_metric_values(r.metrics) for r in baseline.results]
 
-    rd = create_run(run_dir, spec, shards=effective_shards,
-                    every_events=every_events)
-    injections: Dict[int, Dict[str, Any]] = {plan.point: {}}
-    if effective_shards is not None and effective_shards >= 2:
-        injections[plan.point]["chaos_kill"] = plan.kill_shard
-    else:
-        injections[plan.point]["crash_after_saves"] = plan.interrupt_after
+    rd = create_run(run_dir, spec, every_events=every_events)
+    injections = {plan.point: {"crash_after_saves": plan.interrupt_after}}
 
     try:
         result, _ = run_resumable(
-            spec, rd,
-            shards=effective_shards,
-            every_events=every_events,
-            restart_backoff=restart_backoff,
-            injections=injections,
+            spec, rd, every_events=every_events, injections=injections
         )
-        report.notes.append("chaos run completed in one pass (in-run recovery)")
+        report.notes.append("chaos run completed in one pass (no crash fired)")
     except SimulatedCrash as exc:
         report.notes.append(f"injected crash fired: {exc}")
         if plan.truncate_checkpoint:
@@ -235,7 +210,7 @@ def run_chaos(
             report.notes.append(
                 f"truncated newest checkpoint: {victim.name if victim else 'none found'}"
             )
-        result, _, _ = resume_run(rd.path, restart_backoff=restart_backoff)
+        result, _, _ = resume_run(rd.path)
         report.resumed = True
 
     # -- judge ---------------------------------------------------------------
@@ -253,23 +228,13 @@ def run_chaos(
         counts[record["event"]] = counts.get(record["event"], 0) + 1
     report.recovery_events = counts
 
-    recovered = True
-    if injections[plan.point].get("chaos_kill") is not None:
-        if not counts.get(event_types.EXECUTOR_WORKER_RESTART):
-            report.mismatches.append(
-                "no executor.worker_restart event — the killed shard worker "
-                "was never supervised back"
-            )
-            recovered = False
-    else:
-        if not counts.get(event_types.EXECUTOR_RESUME):
-            report.mismatches.append(
-                "no executor.resume event — the crashed run never restored "
-                "from its checkpoint"
-            )
-            recovered = False
+    if not counts.get(event_types.EXECUTOR_RESUME):
+        report.mismatches.append(
+            "no executor.resume event — the crashed run never restored "
+            "from its checkpoint"
+        )
 
-    report.ok = recovered and not report.mismatches
+    report.ok = not report.mismatches
     return report, result
 
 

@@ -8,10 +8,9 @@ scenario execution crash-safe end to end:
 * every finished sweep point is committed as a framed
   ``points/<i>/result.ckpt`` the moment it completes — a later crash never
   re-runs it;
-* the in-flight point checkpoints incrementally (serial engine: every N
-  dispatched events via :class:`~repro.sim.checkpoint.SerialCheckpointer`;
-  sharded engine: every epoch barrier via the coordinator's commit
-  records), so even the interrupted point resumes mid-run;
+* the in-flight point checkpoints incrementally (every N dispatched events
+  via :class:`~repro.sim.checkpoint.SerialCheckpointer`), so even the
+  interrupted point resumes mid-run;
 * all recovery actions land in ``recovery.jsonl`` as ``executor.*``
   events.
 
@@ -34,7 +33,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 from repro.eval.experiment import ExperimentResult, execute_config
 from repro.eval.runner import ProgressEvent, ProgressFn, SweepInterrupted
 from repro.eval.scenario import ScenarioResult, ScenarioSpec
-from repro.eval.sharded import execute_point_sharded
 from repro.obs import events as event_types
 from repro.obs.registry import MetricsRegistry
 from repro.sim.checkpoint import (
@@ -62,7 +60,6 @@ def create_run(
     path: Union[str, Path],
     spec: ScenarioSpec,
     *,
-    shards: Optional[int] = None,
     every_events: int = DEFAULT_EVERY_EVENTS,
 ) -> RunDir:
     """Create a run directory for ``spec``; refuses to clobber another run.
@@ -87,18 +84,16 @@ def create_run(
         "kind": "scenario-run",
         "scenario": scenario,
         "content_hash": content_hash(scenario),
-        "shards": shards,
         "every_events": int(every_events),
     }
     return RunDir.create(path, manifest)
 
 
-def open_run(
-    path: Union[str, Path],
-) -> Tuple[RunDir, ScenarioSpec, Optional[int], int]:
+def open_run(path: Union[str, Path]) -> Tuple[RunDir, ScenarioSpec, int]:
     """Open an existing run directory, verifying its manifest hash.
 
-    Returns ``(run_dir, spec, shards, every_events)``.
+    Returns ``(run_dir, spec, every_events)``.  Manifest keys other than
+    the scenario, its hash and the cadence are ignored.
     """
     rd = RunDir(path)
     manifest = rd.read_manifest()
@@ -120,21 +115,16 @@ def open_run(
             f"{declared!r}, resolved scenario hashes to {actual!r}); "
             "the manifest was edited or corrupted — not resuming"
         )
-    shards = manifest.get("shards")
     every = int(manifest.get("every_events") or DEFAULT_EVERY_EVENTS)
-    return rd, spec, shards, every
+    return rd, spec, every
 
 
 def run_resumable(
     spec: ScenarioSpec,
     run_dir: RunDir,
     *,
-    shards: Optional[int] = None,
     every_events: int = DEFAULT_EVERY_EVENTS,
     registry: Optional[MetricsRegistry] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
-    restart_backoff: float = 0.5,
     injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
     progress: Optional[ProgressFn] = None,
     flag: Optional[InterruptFlag] = None,
@@ -144,10 +134,8 @@ def run_resumable(
     """Run (or continue) every point of ``spec`` inside ``run_dir``.
 
     Committed points are skipped outright; the rest execute with
-    checkpointing on — serial points through
-    :meth:`Simulation.run_checkpointed`, sharded points (``shards >= 2``)
-    through the supervised epoch-barrier coordinator, both resuming from
-    whatever checkpoints the directory already holds.
+    checkpointing on through :meth:`Simulation.run_checkpointed`, resuming
+    from whatever checkpoints the directory already holds.
 
     A deferred SIGINT/SIGTERM flushes the in-flight point's state and
     raises :class:`~repro.eval.runner.SweepInterrupted` carrying the
@@ -155,10 +143,9 @@ def run_resumable(
     can record the partial sweep; re-invoking with the same directory
     finishes it.
 
-    ``injections`` is the chaos hook: a per-point-index mapping with
-    optional ``chaos_kill`` (``(shard, epoch)`` forwarded to the shard
-    worker) and ``crash_after_saves`` (forwarded to the serial
-    checkpointer) keys.  Production callers leave it ``None``.
+    ``injections`` is the chaos hook: a per-point-index mapping with an
+    optional ``crash_after_saves`` key (forwarded to the checkpointer).
+    Production callers leave it ``None``.
 
     Job-level hooks (used by ``repro serve``, harmless elsewhere):
 
@@ -178,12 +165,10 @@ def run_resumable(
     * ``trace_cache`` (keyed by trace-spec key) shares materialized traces
       across calls, so a long-running server rebuilds each trace once.
     """
-    effective_shards = shards if shards is not None else spec.shards
     profile, tspec, materialized = spec.resolve_trace()
     entries = spec.entries(profile, tspec)
     recovery = run_dir.recovery_log(registry)
     injections = dict(injections or {})
-    plan_cache: Dict[int, Any] = {}
     trace = None
     points = [point for _, point, _ in entries]
     results: List[Optional[ExperimentResult]] = [None] * len(entries)
@@ -244,30 +229,16 @@ def run_resumable(
             emit("started", i, point, None)
             t0 = perf_counter()
             try:
-                if effective_shards is not None and effective_shards >= 2:
-                    result, info = execute_point_sharded(
-                        trace, point, config,
-                        shards=effective_shards,
-                        plan_cache=plan_cache,
-                        checkpoint_dir=point_dir,
-                        recovery=recovery,
-                        barrier_timeout=barrier_timeout,
-                        max_restarts=max_restarts,
-                        restart_backoff=restart_backoff,
-                        chaos_kill=inj.get("chaos_kill"),
-                        serial_checkpointer=checkpointer,
-                    )
-                else:
-                    result = execute_config(
-                        trace, point.protocol, config,
-                        memory_kb=point.memory_kb,
-                        rate=point.rate,
-                        seed=point.seed,
-                        protocol_kwargs=point.protocol_kwargs,
-                        scenario=point.scenario,
-                        checkpointer=checkpointer,
-                    )
-                    info = {"execution": {"mode": "serial"}}
+                result = execute_config(
+                    trace, point.protocol, config,
+                    memory_kb=point.memory_kb,
+                    rate=point.rate,
+                    seed=point.seed,
+                    protocol_kwargs=point.protocol_kwargs,
+                    scenario=point.scenario,
+                    checkpointer=checkpointer,
+                )
+                info = {"execution": {"mode": "serial"}}
             except ExecutionInterrupted:
                 # the in-flight point's state is already flushed; surface
                 # the completed prefix so the caller can record it
@@ -288,23 +259,14 @@ def resume_run(
     path: Union[str, Path],
     *,
     registry: Optional[MetricsRegistry] = None,
-    barrier_timeout: Optional[float] = None,
-    max_restarts: int = 2,
-    restart_backoff: float = 0.5,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]], ScenarioSpec]:
     """Continue the run in ``path`` from its last complete checkpoints.
 
-    The scenario, shard count and checkpoint cadence all come from the
-    manifest, so a resume cannot drift from the original invocation.
+    The scenario and checkpoint cadence both come from the manifest, so a
+    resume cannot drift from the original invocation.
     """
-    rd, spec, shards, every = open_run(path)
+    rd, spec, every = open_run(path)
     result, infos = run_resumable(
-        spec, rd,
-        shards=shards,
-        every_events=every,
-        registry=registry,
-        barrier_timeout=barrier_timeout,
-        max_restarts=max_restarts,
-        restart_backoff=restart_backoff,
+        spec, rd, every_events=every, registry=registry
     )
     return result, infos, spec

@@ -1,4 +1,4 @@
-"""Streaming trace production and subarea partitioning.
+"""Streaming trace production.
 
 A :class:`~repro.mobility.trace.Trace` materializes every
 :class:`~repro.mobility.trace.VisitRecord` up front — fine for the paper's
@@ -13,39 +13,18 @@ This module adds the streaming counterpart:
 * ``CampusMobilityModel.stream_visits`` / ``BusMobilityModel.stream_visits``
   (defined in :mod:`repro.mobility.synthetic`) produce such streams from
   per-node generators merged with ``heapq.merge`` — O(nodes) memory
-  instead of O(records);
-* a subarea partitioner (:func:`landmark_partition`,
-  :func:`partition_records`) that splits one stream into per-shard streams,
-  inserting explicit :class:`~repro.mobility.trace.Transit` records at
-  shard boundaries — the only cross-shard traffic, per the paper's
-  inter-landmark flow model.
+  instead of O(records).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.mobility.trace import ReplayEvent, Trace, Transit, VisitRecord
+from repro.mobility.trace import ReplayEvent, Trace, VisitRecord
 
-__all__ = [
-    "TraceStream",
-    "landmark_partition",
-    "partition_records",
-    "iter_shard_records",
-]
+__all__ = ["TraceStream"]
 
 #: a zero-argument factory returning a fresh, time-ordered record iterator;
 #: called once per pass so a stream can be replayed without materializing
@@ -247,85 +226,3 @@ class TraceStream:
             i += 1
         while heap:
             yield heapq.heappop(heap)
-
-
-# ---------------------------------------------------------------------------
-# Subarea partitioning
-# ---------------------------------------------------------------------------
-
-
-def landmark_partition(
-    visit_counts: Mapping[int, int], n_shards: int
-) -> Dict[int, int]:
-    """Assign each landmark (subarea) to a shard, balancing visit load.
-
-    Deterministic greedy bin-packing: landmarks in decreasing visit-count
-    order (ties by landmark id) each go to the currently lightest shard
-    (ties by shard index).  Every shard is guaranteed at least one landmark
-    when ``n_shards <= len(visit_counts)``; more shards than landmarks is an
-    error — a shard with no subarea has nothing to simulate.
-    """
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    if n_shards > len(visit_counts):
-        raise ValueError(
-            f"cannot split {len(visit_counts)} landmark(s) into "
-            f"{n_shards} shards"
-        )
-    loads = [0] * n_shards
-    assignment: Dict[int, int] = {}
-    ordered = sorted(visit_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    for lm, count in ordered:
-        shard = min(range(n_shards), key=lambda s: (loads[s], s))
-        assignment[lm] = shard
-        loads[shard] += count
-    return assignment
-
-
-ShardItem = Union[VisitRecord, Transit]
-
-
-def partition_records(
-    records: Iterable[VisitRecord], shard_of: Mapping[int, int]
-) -> Iterator[Tuple[int, ShardItem]]:
-    """Split a sorted record stream into per-shard tagged streams.
-
-    One pass, O(nodes) state.  Yields ``(shard, item)`` pairs where an item
-    is either a :class:`VisitRecord` (tagged with its landmark's shard) or
-    an explicit :class:`Transit` handoff record emitted when consecutive
-    visits of one node land on *different* shards — tagged to both sides,
-    so the departing shard sees its export and the arriving shard its
-    import.  Consecutive same-landmark visits form no transit, matching
-    :meth:`Trace.transits`.
-
-    Assumes per-node visits do not overlap (true for every stream the
-    mobility models produce); overlap resolution for arbitrary traces lives
-    in the sharded-run coordinator, which validates before splitting.
-    """
-    last: Dict[int, VisitRecord] = {}
-    for rec in records:
-        shard = shard_of[rec.landmark]
-        prev = last.get(rec.node)
-        if prev is not None and prev.landmark != rec.landmark:
-            prev_shard = shard_of[prev.landmark]
-            if prev_shard != shard:
-                transit = Transit(
-                    node=rec.node,
-                    src=prev.landmark,
-                    dst=rec.landmark,
-                    depart=prev.end,
-                    arrive=rec.start,
-                )
-                yield prev_shard, transit
-                yield shard, transit
-        last[rec.node] = rec
-        yield shard, rec
-
-
-def iter_shard_records(
-    records: Iterable[VisitRecord], shard_of: Mapping[int, int], shard: int
-) -> Iterator[ShardItem]:
-    """One shard's view of a partitioned stream (records + boundary transits)."""
-    for sh, item in partition_records(records, shard_of):
-        if sh == shard:
-            yield item

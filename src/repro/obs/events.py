@@ -56,9 +56,6 @@ executor recovery (see docs/reliability.md)
 =========================== ==================================================
 ``executor.checkpoint``      a crash-safe checkpoint was committed to disk
 ``executor.resume``          a run restarted from a checkpoint
-``executor.worker_dead``     a shard worker died or missed a barrier deadline
-``executor.worker_restart``  a dead shard worker was restarted from checkpoint
-``executor.fallback``        shard recovery was exhausted; serial fallback
 ``executor.interrupt``       SIGINT/SIGTERM flushed a final checkpoint
 ``executor.chaos``           the chaos harness injected an executor fault
 =========================== ==================================================
@@ -100,9 +97,6 @@ FAULT_CLEARED = "fault.cleared"
 # -- executor recovery --------------------------------------------------------
 EXECUTOR_CHECKPOINT = "executor.checkpoint"
 EXECUTOR_RESUME = "executor.resume"
-EXECUTOR_WORKER_DEAD = "executor.worker_dead"
-EXECUTOR_WORKER_RESTART = "executor.worker_restart"
-EXECUTOR_FALLBACK = "executor.fallback"
 EXECUTOR_INTERRUPT = "executor.interrupt"
 EXECUTOR_CHAOS = "executor.chaos"
 
@@ -125,9 +119,6 @@ EXECUTOR_EVENTS = frozenset(
     {
         EXECUTOR_CHECKPOINT,
         EXECUTOR_RESUME,
-        EXECUTOR_WORKER_DEAD,
-        EXECUTOR_WORKER_RESTART,
-        EXECUTOR_FALLBACK,
         EXECUTOR_INTERRUPT,
         EXECUTOR_CHAOS,
     }

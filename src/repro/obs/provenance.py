@@ -73,10 +73,6 @@ class RunProvenance:
     #: the resolved scenario this run materialized from (repro.eval.scenario);
     #: ``repro rerun`` rebuilds a bit-identical run from this dict alone
     scenario: Optional[Dict[str, Any]] = None
-    #: how the run was executed (shard topology, fallback reasons); purely
-    #: descriptive — identical metrics regardless of its value — and thus
-    #: *excluded* from the scenario identity the experiment store hashes
-    execution: Optional[Dict[str, Any]] = None
     package_version: str = field(default_factory=package_version)
     python_version: str = field(default_factory=platform.python_version)
 
@@ -108,7 +104,7 @@ class RunProvenance:
         )
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "protocol": self.protocol,
             "trace": self.trace,
             "seed": self.seed,
@@ -117,8 +113,3 @@ class RunProvenance:
             "package_version": self.package_version,
             "python_version": self.python_version,
         }
-        # only stamped for sharded/fallback runs; absent keeps older
-        # provenance JSON byte-identical
-        if self.execution is not None:
-            out["execution"] = dict(self.execution)
-        return out

@@ -2,9 +2,8 @@
 
 The execution plane mirrors the delay-tolerant discipline of the routing
 layer it simulates: state only needs to be durable at well-defined
-custody-transfer points.  For the subarea-sharded engine that point is
-the epoch barrier (the only moment shards exchange state); for the
-serial engine it is any event boundary, taken every N dispatched events.
+custody-transfer points: any event boundary, taken every N dispatched
+events.
 
 Three building blocks live here:
 
@@ -19,9 +18,8 @@ Three building blocks live here:
   shared ``Packet`` references, which is what makes a resumed run
   *bit-identical* to an uninterrupted one;
 * **run directories** — a ``manifest.json`` hashing the resolved
-  scenario, one sub-directory per sweep point (serial checkpoints or
-  per-shard epoch checkpoints plus a barrier record), a framed result
-  file per completed point, and an append-only ``recovery.jsonl`` event
+  scenario, one sub-directory of checkpoints per sweep point, a framed
+  result file per completed point, and an append-only ``recovery.jsonl`` event
   log mirroring every recovery action into ``executor.*`` counters.
 
 Protocols participate through ``RoutingProtocol.detach_runtime`` /
@@ -42,7 +40,7 @@ import signal
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as event_types
 from repro.obs.registry import MetricsRegistry
@@ -130,8 +128,7 @@ def try_load_checkpoint(path: "Path | str") -> Optional[Any]:
 # -- simulation snapshots -----------------------------------------------------
 
 
-def snapshot_simulation(sim: Any, n_dispatched: int,
-                        extra: Optional[Dict[str, Any]] = None) -> bytes:
+def snapshot_simulation(sim: Any, n_dispatched: int) -> bytes:
     """Serialize the full mutable state of a running Simulation.
 
     The protocol's runtime hooks (observability closures) are detached for
@@ -156,8 +153,6 @@ def snapshot_simulation(sim: Any, n_dispatched: int,
             "metrics": world.metrics,
             "protocol": protocol,
         }
-        if extra:
-            state.update(extra)
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         protocol.attach_runtime(world)
@@ -365,13 +360,11 @@ class RunDir:
     ::
 
         <run-dir>/
-          manifest.json             scenario + its content hash, mode knobs
+          manifest.json             scenario + its content hash, cadence
           recovery.jsonl            executor.* recovery event log
           points/
             000/                    one directory per sweep point
-              serial-*.ckpt         (serial execution)
-              shard0/epoch-*.ckpt   (sharded execution)
-              barrier-*.ckpt        coordinator barrier commit records
+              serial/serial-*.ckpt  execution checkpoints
               result.ckpt           framed pickle of the finished point
     """
 
@@ -420,12 +413,6 @@ class RunDir:
         d = self.path / "points" / f"{index:03d}"
         d.mkdir(parents=True, exist_ok=True)
         return d
-
-    def point_dirs(self) -> Iterable[Path]:
-        root = self.path / "points"
-        if not root.is_dir():
-            return []
-        return sorted(p for p in root.iterdir() if p.is_dir())
 
     def write_result(self, index: int, result: Any) -> Path:
         path = self.point_dir(index) / self.RESULT

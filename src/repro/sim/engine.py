@@ -478,39 +478,6 @@ class RoutingProtocol:
     def attach_runtime(self, world: World) -> None:
         """Re-wire runtime references after a snapshot or restore."""
 
-    # -- shard API (see docs/scaling.md) -----------------------------------------
-    #: whether the protocol's per-node state is self-contained enough to
-    #: migrate between shard processes when its carrier crosses a subarea
-    #: boundary.  Protocols holding cross-landmark global state (loop
-    #: correction, node-location registries, contact graphs) must leave
-    #: this False; the sharded coordinator then runs them serially.
-    shard_safe = False
-
-    def export_node_state(self, nid: int) -> object:
-        """Detach and return node ``nid``'s protocol state for a handoff.
-
-        Called by the departing shard when the node's next visit lies on
-        another shard; the returned object is pickled into the transit
-        message.  ``None`` means the protocol carries no per-node state.
-        """
-        return None
-
-    def import_node_state(self, nid: int, state: object) -> None:
-        """Install protocol state shipped from another shard."""
-
-    def export_node_maintenance(self, nid: int) -> object:
-        """Detach maintenance payloads travelling with node ``nid``
-        (backward bandwidth reports, carried table snapshots).
-
-        Kept separate from :meth:`export_node_state` because it is the
-        paper's second inter-landmark message class: routing *information*
-        flowing between subareas, not routing *state* of the carrier.
-        """
-        return None
-
-    def import_node_maintenance(self, nid: int, payload: object) -> None:
-        """Install carried maintenance payloads shipped from another shard."""
-
 
 # event kinds, ordered for same-timestamp ties: fault edges flip the fault
 # state first (an event at the edge instant already sees the new state),
@@ -708,7 +675,7 @@ class Simulation:
             # driven, so every protocol sees the identical workload
             return
         station = world.stations[gen.src]
-        packet = self._mint(gen, t)
+        packet = self.factory.create(src=gen.src, dst=gen.dst, now=t)
         world.metrics.on_generated()
         station.buffer.add(packet)
         if world.obs_enabled:
@@ -717,15 +684,6 @@ class Simulation:
             )
         world.drop_expired_in(station)
         self.protocol.on_packet_generated(world, station, packet, t)
-
-    def _mint(self, gen: GenerationEvent, t: float) -> Packet:
-        """Create the packet for one generation event.
-
-        Split out so the shard engine can mint packets with coordinator-
-        assigned ids and TTLs (identical to the serial factory sequence)
-        while the handler above stays shared.
-        """
-        return self.factory.create(src=gen.src, dst=gen.dst, now=t)
 
     # -- main loop -----------------------------------------------------------------
     #: phase names indexed by event kind, for the dispatch timers

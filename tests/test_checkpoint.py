@@ -241,6 +241,23 @@ class TestRunDirectories:
             r.metrics for r in baseline.results
         ]
 
+    def test_legacy_shard_count_in_manifest_resumes_serially(
+        self, tiny_csv, tmp_path
+    ):
+        # older versions wrote the sharded engine's worker count into the
+        # manifest; sharded metrics equalled serial, so the key is ignored
+        spec = tiny_spec(tiny_csv)
+        baseline = run_scenario(spec)
+        rd = create_run(tmp_path / "rd", spec, every_events=400)
+        manifest = rd.read_manifest()
+        manifest["shards"] = 2
+        rd.manifest_path.write_text(__import__("json").dumps(manifest))
+        result, infos, _ = resume_run(tmp_path / "rd")
+        assert [r.metrics for r in result.results] == [
+            r.metrics for r in baseline.results
+        ]
+        assert all(info["execution"]["mode"] == "serial" for info in infos)
+
     def test_create_refuses_a_different_scenario(self, tiny_csv, tmp_path):
         create_run(tmp_path / "rd", tiny_spec(tiny_csv), every_events=400)
         other = tiny_spec(tiny_csv, protocols=["PROPHET"])

@@ -1,5 +1,8 @@
 """Behavioural tests for the DTN-FLOW protocol (repro.core.router)."""
 
+import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +13,12 @@ from repro.core.router import (
     DTNFlowConfig,
     DTNFlowProtocol,
 )
+from repro.eval.scenario import ScenarioSpec, preset_names, preset_scenario
 from repro.mobility.trace import Trace, VisitRecord, days
 from repro.sim.engine import SimConfig, Simulation, run_simulation
 from repro.sim.packets import Packet
+
+CI = Path(__file__).resolve().parent.parent / "ci"
 
 
 def rec(start, end, node, landmark):
@@ -327,3 +333,50 @@ class TestNodeToNodeEnhancement:
             tiny_sim_config,
         )
         assert enh.success_rate >= base.success_rate - 0.03
+
+
+class TestDegenerateTimeUnit:
+    """A time unit spanning the post-warm-up trace leaves DTN-FLOW unable
+    to measure a single link; setup warns instead of silently not routing."""
+
+    @staticmethod
+    def _time_unit_warnings(trace, config):
+        sim = Simulation(trace, DTNFlowProtocol(), config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sim.protocol.setup(sim.world)
+        return [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "time_unit" in str(w.message)
+        ]
+
+    def test_warns_when_unit_covers_post_warmup_span(self):
+        trace = shuttle()  # 39.4k s long; 10% warm-up leaves ~35.5k s
+        assert self._time_unit_warnings(trace, cfg(time_unit=days(3.0)))
+        assert self._time_unit_warnings(trace, cfg(time_unit=trace.duration))
+        assert not self._time_unit_warnings(trace, cfg())
+
+    def test_no_preset_or_ci_scenario_is_degenerate(self):
+        specs = {name: preset_scenario(name) for name in preset_names()}
+        for path in sorted(CI.glob("*scenario.json")):
+            specs[path.name] = ScenarioSpec.from_dict(
+                json.loads(path.read_text())
+            ).validate()
+        assert {"regression-scenario.json",
+                "regression-faulted-scenario.json"} <= set(specs)
+        traces = {}
+        for name, spec in specs.items():
+            profile, tspec, materialized = spec.resolve_trace()
+            seen = set()
+            for _tspec, _point, config in spec.entries(profile, tspec):
+                key = (tspec.key, config.time_unit, config.warmup_fraction)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if tspec.key not in traces:
+                    traces[tspec.key] = (
+                        materialized.get(tspec.key) or tspec.materialize()
+                    )
+                fired = self._time_unit_warnings(traces[tspec.key], config)
+                assert not fired, f"{name}: {fired[0].message}"

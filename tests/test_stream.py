@@ -1,8 +1,8 @@
 """Streaming trace production: equivalence with the materialized path.
 
-The shard-capable architecture rests on one promise: a trace consumed as
-a stream (:class:`~repro.mobility.stream.TraceStream`) is *the same
-trace* as its materialized twin — same records, same engine events, same
+Large-trace runs rest on one promise: a trace consumed as a stream
+(:class:`~repro.mobility.stream.TraceStream`) is *the same trace* as its
+materialized twin — same records, same engine events, same
 metrics to the last bit.  These tests pin that promise at every layer:
 
 * the mobility models' ``stream_visits`` generators are deterministic
