@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -90,6 +89,10 @@ class SubareaMap:
         self.landmarks = list(landmarks)
         self._ids = [p.place_id for p in landmarks]
         self._points = np.array([[p.x, p.y] for p in landmarks], dtype=float)
+        # imported here, not at module level: scipy.spatial costs ~0.5 s of
+        # every process's cold start, and only landmark planning needs it
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(self._points)
 
     @property
