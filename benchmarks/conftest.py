@@ -11,8 +11,8 @@ synthetic-trace simulator, not the authors' testbed.
 
 Wall-clock tracking: the suite records its total duration and each
 benchmark's call-phase duration, plus whatever extra measurements tests
-register via :func:`record_bench` (the parallel-speedup benchmark uses
-this), and appends them to the ``BENCH_sweeps.json`` history at session
+register via :func:`record_bench` (stored under the snapshot's ``extra``
+key), and appends them to the ``BENCH_sweeps.json`` history at session
 end — the perf trajectory future PRs compare against.  Each new snapshot
 is also ingested into the experiment store (``$REPRO_DB`` or
 ``experiments.sqlite``) so ``repro db report`` can chart suite wall-clock
@@ -114,7 +114,7 @@ def pytest_sessionfinish(session, exitstatus):
         "cpu_count": os.cpu_count(),
         "full_scale": full_scale(),
         "figures": _BENCH["figures"],
-        "parallel": _BENCH["extra"],
+        "extra": _BENCH["extra"],
     }
     out = os.environ.get(
         "REPRO_BENCH_OUT",
@@ -177,9 +177,9 @@ def run_preset_sweep(preset: str, *, jobs: int, trace: Trace):
 
     The Fig. 11-14 benchmarks are exactly the named preset scenarios — the
     same declarative manifests ``repro scenario run`` executes — so the
-    benchmark parameters live in one place.  ``trace`` seeds the serial
-    path's cache with the session-scoped trace fixture (parallel workers
-    rebuild from the spec and keep their own per-worker cache).
+    benchmark parameters live in one place.  ``trace`` seeds the
+    executor's trace table with the session-scoped trace fixture, which
+    pool workers inherit too.
     """
     spec = preset_scenario(preset)
     return run_scenario(spec, jobs=jobs, trace=trace).sweep_result()

@@ -368,19 +368,18 @@ def _print_sweep_result(result) -> None:
 def _progress_printer(total: int):
     """A sweep ``progress`` callback printing completion + ETA to stderr.
 
-    Deduplicates on point index (pool retries re-emit ``finished`` for the
-    same point) and ignores ``started`` records — one line per completed
-    point keeps a 30-point sweep readable.
+    Ignores ``started`` records — one line per completed point keeps a
+    30-point sweep readable.
     """
     from time import perf_counter
 
-    state = {"done": set(), "t0": perf_counter()}
+    state = {"done": 0, "t0": perf_counter()}
 
     def on_event(event) -> None:
-        if event.kind != "finished" or event.index in state["done"]:
+        if event.kind != "finished":
             return
-        state["done"].add(event.index)
-        n = len(state["done"])
+        state["done"] += 1
+        n = state["done"]
         elapsed = perf_counter() - state["t0"]
         eta = elapsed / n * (total - n) if n else 0.0
         took = f" in {event.seconds:.1f}s" if event.seconds is not None else ""
@@ -547,7 +546,9 @@ def _run_resumable_cli(
     label = spec.name or "scenario"
     try:
         rd = create_run(run_dir_path, spec, every_events=every)
-        res, _infos = run_resumable(spec, rd, every_events=every)
+        res, _infos = run_resumable(
+            spec, rd, jobs=parse_jobs(args.jobs), every_events=every
+        )
     except CheckpointError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -40,9 +40,10 @@ def execute_config(
 ) -> ExperimentResult:
     """Run one experiment from a fully-resolved :class:`SimConfig`.
 
-    This is the single execution path shared by the serial runners and the
-    parallel executor's workers (``repro.eval.runner``): a config resolved
-    once in the parent yields bit-identical results wherever it runs.
+    The point executor (:func:`repro.eval.runner.execute`) runs every
+    sweep point through here, in the parent or in a pool worker: a config
+    resolved once in the parent yields bit-identical results wherever it
+    runs.
     ``scenario`` (a resolved-scenario dict) is stamped into the run's
     provenance for exact reruns.  ``obs`` overrides the run's observability
     context (``repro profile`` injects one whose spans share a recorder).

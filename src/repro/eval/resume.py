@@ -8,40 +8,34 @@ scenario execution crash-safe end to end:
 * every finished sweep point is committed as a framed
   ``points/<i>/result.ckpt`` the moment it completes — a later crash never
   re-runs it;
-* the in-flight point checkpoints incrementally (every N dispatched events
-  via :class:`~repro.sim.checkpoint.SerialCheckpointer`), so even the
-  interrupted point resumes mid-run;
+* a point running in the parent process checkpoints incrementally (every
+  N dispatched events via :class:`~repro.sim.checkpoint.SerialCheckpointer`),
+  so even the interrupted point resumes mid-run;
 * all recovery actions land in ``recovery.jsonl`` as ``executor.*``
   events.
 
 :func:`run_resumable` is create-or-continue: pointed at a fresh directory
 it runs the whole grid; pointed at a partial one it skips committed points
-and restarts the rest from their newest checkpoints.  ``repro resume``
-(and ``--run-dir`` on ``repro scenario run``) are thin CLI shims over
-:func:`resume_run`.  Metrics are bit-identical to an uninterrupted run —
-the regression gate (``repro db regress`` at zero tolerance) holds across
-any kill/resume sequence.  See docs/reliability.md.
+and restarts the rest from their newest checkpoints.  Either way it is one
+:func:`~repro.eval.runner.execute` call, serial or pooled (``jobs``).
+``repro resume`` and ``--run-dir`` on ``repro run`` / ``repro scenario
+run`` are thin CLI shims over it.  Metrics are bit-identical to an
+uninterrupted run — the regression gate (``repro db regress`` at zero
+tolerance) holds across any kill/resume sequence.  See docs/reliability.md.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.eval.experiment import ExperimentResult, execute_config
-from repro.eval.runner import ProgressEvent, ProgressFn, SweepInterrupted
+from repro.eval.runner import ProgressFn, ResultFn, execute
 from repro.eval.scenario import ScenarioResult, ScenarioSpec
-from repro.obs import events as event_types
-from repro.obs.registry import MetricsRegistry
 from repro.sim.checkpoint import (
     DEFAULT_EVERY_EVENTS,
     CheckpointError,
-    ExecutionInterrupted,
     InterruptFlag,
     RunDir,
-    SerialCheckpointer,
 )
 from repro.store.db import content_hash
 
@@ -123,21 +117,23 @@ def run_resumable(
     spec: ScenarioSpec,
     run_dir: RunDir,
     *,
+    jobs: Union[int, str, None] = 1,
     every_events: int = DEFAULT_EVERY_EVENTS,
-    registry: Optional[MetricsRegistry] = None,
     injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
     progress: Optional[ProgressFn] = None,
     flag: Optional[InterruptFlag] = None,
-    on_result: Optional[Callable[[int, ExperimentResult], None]] = None,
+    on_result: Optional[ResultFn] = None,
     trace_cache: Optional[Dict[str, Any]] = None,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]]]:
     """Run (or continue) every point of ``spec`` inside ``run_dir``.
 
-    Committed points are skipped outright; the rest execute with
-    checkpointing on through :meth:`Simulation.run_checkpointed`, resuming
-    from whatever checkpoints the directory already holds.
+    One :func:`~repro.eval.runner.execute` call: committed points are
+    skipped outright, the rest run over ``jobs`` processes (points run in
+    this process checkpoint through :meth:`Simulation.run_checkpointed`,
+    resuming from whatever checkpoints the directory already holds).
 
-    A deferred SIGINT/SIGTERM flushes the in-flight point's state and
+    A deferred SIGINT/SIGTERM stops the run (the in-flight serial point
+    flushes its state, in-flight pool points finish and commit) and
     raises :class:`~repro.eval.runner.SweepInterrupted` carrying the
     completed results (index-aligned, ``None`` for unfinished) so callers
     can record the partial sweep; re-invoking with the same directory
@@ -145,120 +141,39 @@ def run_resumable(
 
     ``injections`` is the chaos hook: a per-point-index mapping with an
     optional ``crash_after_saves`` key (forwarded to the checkpointer).
-    Production callers leave it ``None``.
+    Production callers leave it ``None``.  ``progress``, ``flag`` and
+    ``on_result`` are :func:`~repro.eval.runner.execute`'s job-level hooks
+    (``repro serve`` uses them); ``trace_cache`` is its trace table,
+    shared across calls so a long-running server builds each trace once.
 
-    Job-level hooks (used by ``repro serve``, harmless elsewhere):
-
-    * ``progress`` receives a :class:`~repro.eval.runner.ProgressEvent`
-      as each point starts and finishes.  Points restored from a committed
-      ``result.ckpt`` emit a single ``finished`` event with
-      ``seconds=None`` so consumers can count them without re-timing them.
-    * ``flag`` supplies an externally-owned
-      :class:`~repro.sim.checkpoint.InterruptFlag`; setting its
-      ``triggered`` attribute from another thread cancels the run at the
-      next checkpoint tick (in-flight state flushed, the usual
-      :class:`SweepInterrupted` raised).  Default: a fresh flag wired to
-      SIGINT/SIGTERM (signal handlers only install on the main thread).
-    * ``on_result`` is called with ``(index, result)`` right after a
-      point's ``result.ckpt`` commits — metrics stream out as they land
-      instead of when the whole grid finishes.
-    * ``trace_cache`` (keyed by trace-spec key) shares materialized traces
-      across calls, so a long-running server rebuilds each trace once.
+    Returns the scenario result and each point's committed ``info`` block
+    (``{"execution": {"mode": "serial" | "pool"}}``).
     """
     profile, tspec, materialized = spec.resolve_trace()
     entries = spec.entries(profile, tspec)
-    recovery = run_dir.recovery_log(registry)
-    injections = dict(injections or {})
-    trace = None
-    points = [point for _, point, _ in entries]
-    results: List[Optional[ExperimentResult]] = [None] * len(entries)
-    infos: List[Optional[Dict[str, Any]]] = [None] * len(entries)
-    total = len(entries)
-    pid = os.getpid()
-
-    def emit(kind: str, i: int, point: Any, seconds: Optional[float]) -> None:
-        if progress is None:
-            return
-        try:
-            progress(ProgressEvent(
-                kind=kind, index=i, total=total, protocol=point.protocol,
-                memory_kb=point.memory_kb, rate=point.rate, seed=point.seed,
-                seconds=seconds, pid=pid,
-            ))
-        except Exception:  # telemetry must never break the run
-            pass
-
-    with (flag if flag is not None else InterruptFlag()) as flag:
-        for i, (_tspec, point, config) in enumerate(entries):
-            cached = run_dir.load_result(i)
-            if cached is not None:
-                results[i] = cached["result"]
-                infos[i] = cached.get("info")
-                recovery.emit(
-                    event_types.EXECUTOR_RESUME, kind="point",
-                    index=i, protocol=point.protocol,
-                )
-                emit("finished", i, point, None)
-                if on_result is not None:
-                    on_result(i, cached["result"])
-                continue
-            if flag.triggered:
-                recovery.emit(
-                    event_types.EXECUTOR_INTERRUPT, kind="between-points",
-                    index=i, signum=flag.signum,
-                )
-                raise SweepInterrupted(results)
-            if trace is None:
-                if trace_cache is not None:
-                    trace = trace_cache.get(tspec.key)
-                if trace is None:
-                    trace = materialized.get(tspec.key)
-                if trace is None:
-                    trace = tspec.materialize()
-                if trace_cache is not None:
-                    trace_cache.setdefault(tspec.key, trace)
-            inj = dict(injections.get(i) or {})
-            point_dir = run_dir.point_dir(i)
-            checkpointer = SerialCheckpointer(
-                point_dir / "serial",
-                every_events=every_events,
-                flag=flag,
-                recovery=recovery,
-                crash_after_saves=inj.get("crash_after_saves"),
-            )
-            emit("started", i, point, None)
-            t0 = perf_counter()
-            try:
-                result = execute_config(
-                    trace, point.protocol, config,
-                    memory_kb=point.memory_kb,
-                    rate=point.rate,
-                    seed=point.seed,
-                    protocol_kwargs=point.protocol_kwargs,
-                    scenario=point.scenario,
-                    checkpointer=checkpointer,
-                )
-                info = {"execution": {"mode": "serial"}}
-            except ExecutionInterrupted:
-                # the in-flight point's state is already flushed; surface
-                # the completed prefix so the caller can record it
-                raise SweepInterrupted(results) from None
-            run_dir.write_result(i, {"index": i, "result": result, "info": info})
-            results[i] = result
-            infos[i] = info
-            emit("finished", i, point, perf_counter() - t0)
-            if on_result is not None:
-                on_result(i, result)
+    traces = trace_cache if trace_cache is not None else {}
+    for key, trace in materialized.items():
+        traces.setdefault(key, trace)
+    results = execute(
+        entries,
+        jobs=jobs,
+        run_dir=run_dir,
+        every_events=every_events,
+        progress=progress,
+        flag=flag,
+        on_result=on_result,
+        traces=traces,
+        injections=injections,
+    )
+    infos = [(run_dir.load_result(i) or {}).get("info") for i in range(len(entries))]
     return (
-        ScenarioResult(spec=spec, points=points, results=list(results)),
+        ScenarioResult(spec=spec, points=[p for _, p, _ in entries], results=results),
         infos,
     )
 
 
 def resume_run(
     path: Union[str, Path],
-    *,
-    registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[ScenarioResult, List[Optional[Dict[str, Any]]], ScenarioSpec]:
     """Continue the run in ``path`` from its last complete checkpoints.
 
@@ -266,7 +181,5 @@ def resume_run(
     resume cannot drift from the original invocation.
     """
     rd, spec, every = open_run(path)
-    result, infos = run_resumable(
-        spec, rd, every_events=every, registry=registry
-    )
+    result, infos = run_resumable(spec, rd, every_events=every)
     return result, infos, spec

@@ -1,20 +1,22 @@
-"""Parallel experiment executor: fan independent sweep points over processes.
+"""The point executor: every sweep point runs through :func:`execute`.
 
 The paper's evaluation (Figs. 11-14, Tables 6-9) is dominated by parameter
 sweeps — every ``(trace, protocol, memory, rate, seed)`` point an
-independent discrete-event run.  :func:`run_points` executes such points
-over a process pool with three guarantees:
+independent discrete-event run.  :func:`execute` is the one function that
+runs such points, for plain sweeps (:func:`run_point_specs`,
+:func:`run_points`), resumable run directories
+(:func:`repro.eval.resume.run_resumable`) and ``repro serve`` jobs alike:
 
-* **worker-side trace caching** — each worker receives the
-  :class:`TraceSpec` table once (via the pool initializer) and materializes
-  every distinct trace at most once, reusing it across all the points it
-  executes;
+* **one trace table** — the parent materializes each distinct trace once;
+  pool workers inherit that table through the pool initializer;
 * **deterministic ordering** — results come back in submission order no
   matter which worker finishes first;
-* **bit-identical fallback** — ``jobs=1`` (or an unavailable pool) runs the
-  exact same :func:`~repro.eval.experiment.execute_config` path in-process,
-  so serial and parallel runs produce identical
-  :class:`~repro.sim.metrics.MetricsSummary` values for the same seeds.
+* **bit-identical modes** — ``jobs=1``, a pool, and the serial fallback
+  all run :func:`~repro.eval.experiment.execute_config` on the same
+  resolved config, so their :class:`~repro.sim.metrics.MetricsSummary`
+  values are identical for the same seeds;
+* **durability on request** — with a run directory, committed points are
+  skipped and every new result commits as it lands.
 
 Configs are resolved from the :class:`~repro.eval.config.TraceProfile` in
 the parent before dispatch (profiles hold non-picklable builder closures;
@@ -23,23 +25,31 @@ the parent before dispatch (profiles hold non-picklable builder closures;
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import multiprocessing
 import os
 import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from time import monotonic, perf_counter
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.eval.config import TraceProfile, trace_profile
 from repro.eval.config import full_scale as _resolve_full_scale
 from repro.eval.experiment import ExperimentResult, execute_config
 from repro.mobility.trace import Trace
+from repro.obs import events as event_types
 from repro.obs.provenance import _jsonable
+from repro.sim.checkpoint import (
+    DEFAULT_EVERY_EVENTS,
+    ExecutionInterrupted,
+    InterruptFlag,
+    RunDir,
+    SerialCheckpointer,
+)
 from repro.sim.engine import SimConfig
 
 __all__ = [
@@ -47,13 +57,14 @@ __all__ = [
     "PointSpec",
     "ProgressEvent",
     "ProgressFn",
+    "ResultFn",
     "SweepInterrupted",
     "TraceSpec",
+    "execute",
     "parse_jobs",
     "point_scenario_dict",
     "run_point_specs",
     "run_points",
-    "run_tagged_task",
 ]
 
 #: chaos hooks (set by ``repro chaos`` / tests): the index of the sweep point
@@ -78,13 +89,14 @@ def _chaos_index(name: str) -> Optional[int]:
 class ProgressEvent:
     """One live-telemetry record from a running sweep.
 
-    Workers stream these over the pool boundary as points start and
-    finish, so a long sweep reports per-point completion instead of going
-    dark until the pool drains.  ``kind`` is ``"started"`` or
-    ``"finished"``; ``seconds`` is the point's own wall-clock (finished
-    events only).  A point retried after a worker failure emits a second
-    ``finished`` event for the same ``index`` — consumers tracking
-    completion should dedup on it.
+    :func:`execute` emits these in the parent as points start and finish,
+    so a long sweep reports per-point completion instead of going dark
+    until the pool drains.  ``kind`` is ``"started"`` (a point handed to a
+    worker, or begun in the parent) or ``"finished"`` — exactly one per
+    point.  ``seconds`` is the point's own wall-clock and ``pid`` the
+    process that ran it (finished events; ``seconds`` is ``None`` for a
+    point restored from a run directory).  A point re-run after a pool
+    failure may emit a second ``started``.
     """
 
     kind: str
@@ -100,10 +112,6 @@ class ProgressEvent:
 
 #: progress callback; exceptions it raises are swallowed, never failing a sweep
 ProgressFn = Callable[[ProgressEvent], None]
-
-#: drain-thread shutdown marker (a plain string survives any queue proxy)
-_PROGRESS_SENTINEL = "__repro_progress_done__"
-
 
 def _emit_progress(
     progress: Optional[ProgressFn], event: ProgressEvent
@@ -265,8 +273,8 @@ def point_scenario_dict(
 #: one work item: which trace, which point, with which resolved config
 Entry = Tuple[TraceSpec, PointSpec, SimConfig]
 
-#: pool-infrastructure failures that trigger the whole-sweep serial fallback
-#: (pool construction/submission problems; failures of individual points are
+#: pool-infrastructure failures that trigger the serial fallback (pool
+#: construction/submission problems; failures of individual points are
 #: handled per-point inside :func:`_run_pool` instead)
 _POOL_ERRORS = (OSError, ImportError, NotImplementedError, BrokenProcessPool)
 
@@ -307,7 +315,8 @@ class PointExecutionError(RuntimeError):
 
 
 class SweepInterrupted(RuntimeError):
-    """A sweep was interrupted (SIGINT) with some points already complete.
+    """A sweep was interrupted (SIGINT, SIGTERM or a triggered flag) with
+    some points already complete.
 
     :attr:`results` is index-aligned with the submitted entries; ``None``
     marks points that never finished.  Callers can record the completed
@@ -323,126 +332,34 @@ class SweepInterrupted(RuntimeError):
         )
 
 
+
+
+#: called as ``(index, result, seconds)`` once a point's result lands;
+#: ``seconds`` is ``None`` for a point restored from its ``result.ckpt``
+ResultFn = Callable[[int, ExperimentResult, Optional[float]], None]
+
+#: a point the pool handed back to the parent, with its last pool failure
+#: (``None``: the point never ran in the pool)
+_Leftover = Tuple[int, Optional[BaseException]]
+
 # -- worker-side state ----------------------------------------------------------
-_WORKER_SPECS: Dict[str, TraceSpec] = {}
 _WORKER_TRACES: Dict[str, Trace] = {}
-_WORKER_PROGRESS: Optional[Any] = None  # Manager queue proxy, when streaming
 
 
-def _pool_init(
-    specs: Dict[str, TraceSpec], progress_queue: Optional[Any] = None
-) -> None:
-    """Pool initializer: receive the spec table once per worker process."""
-    global _WORKER_SPECS, _WORKER_PROGRESS
-    _WORKER_SPECS = specs
-    _WORKER_PROGRESS = progress_queue
-    _WORKER_TRACES.clear()
+def _pool_init(traces: Dict[str, Trace]) -> None:
+    """Pool initializer: adopt the parent's materialized traces.
 
-
-def _worker_put(record: Tuple[Any, ...]) -> None:
-    """Best-effort heartbeat: a dead queue must not fail the point."""
-    queue = _WORKER_PROGRESS
-    if queue is None:
-        return
-    try:
-        queue.put(record)
-    except Exception:
-        pass
-
-
-def _worker_trace(key: str) -> Trace:
-    """Materialize (once) and cache the trace behind ``key`` in this worker."""
-    trace = _WORKER_TRACES.get(key)
-    if trace is None:
-        trace = _WORKER_SPECS[key].materialize()
-        _WORKER_TRACES[key] = trace
-    return trace
-
-
-def _run_task(
-    idx: int, trace_key: str, point: PointSpec, config: SimConfig
-) -> Tuple[int, ExperimentResult]:
-    pid = os.getpid()
-    _worker_put(
-        ("started", idx, point.protocol, point.memory_kb, point.rate, point.seed, None, pid)
-    )
-    if _chaos_index(CHAOS_POOL_EXIT) == idx:
-        os._exit(1)  # abrupt worker death: no exception, no cleanup
-    if _chaos_index(CHAOS_POOL_RAISE) == idx:
-        raise RuntimeError(f"chaos: injected pool failure for point {idx}")
-    trace = _worker_trace(trace_key)
-    t0 = perf_counter()
-    result = execute_config(
-        trace,
-        point.protocol,
-        config,
-        memory_kb=point.memory_kb,
-        rate=point.rate,
-        seed=point.seed,
-        protocol_kwargs=point.protocol_kwargs,
-        scenario=point.scenario,
-    )
-    _worker_put(
-        (
-            "finished",
-            idx,
-            point.protocol,
-            point.memory_kb,
-            point.rate,
-            point.seed,
-            perf_counter() - t0,
-            pid,
-        )
-    )
-    return idx, result
-
-
-def run_tagged_task(
-    tag: str, idx: int, trace_spec: TraceSpec, point: PointSpec, config: SimConfig
-) -> Tuple[str, int, ExperimentResult]:
-    """Pool task for long-lived executors (``repro serve``'s shared fleet).
-
-    Unlike :func:`_run_task`, the :class:`TraceSpec` travels with the task
-    and registers itself into the worker's spec table on arrival — a pool
-    created before the spec existed (a server accepting jobs for its whole
-    lifetime) still gets the per-worker trace cache, warm across jobs.
-    Progress records lead with ``tag`` so one shared drain thread can route
-    heartbeats to the submitting job.
+    Under ``fork`` (the Linux default) the dict is inherited, never
+    pickled; other start methods pickle it once per worker.
     """
-    _WORKER_SPECS.setdefault(trace_spec.key, trace_spec)
-    pid = os.getpid()
-    _worker_put(
-        (tag, "started", idx, point.protocol, point.memory_kb, point.rate,
-         point.seed, None, pid)
-    )
-    trace = _worker_trace(trace_spec.key)
-    t0 = perf_counter()
-    result = execute_config(
-        trace,
-        point.protocol,
-        config,
-        memory_kb=point.memory_kb,
-        rate=point.rate,
-        seed=point.seed,
-        protocol_kwargs=point.protocol_kwargs,
-        scenario=point.scenario,
-    )
-    _worker_put(
-        (tag, "finished", idx, point.protocol, point.memory_kb, point.rate,
-         point.seed, perf_counter() - t0, pid)
-    )
-    return tag, idx, result
+    global _WORKER_TRACES
+    _WORKER_TRACES = traces
 
 
-def _rerun_entry_serial(
-    entry: Entry, traces: Dict[str, Trace]
+def _run_point(
+    trace: Trace, point: PointSpec, config: SimConfig, checkpointer: Any = None
 ) -> ExperimentResult:
-    """Run one entry in-process (the last-resort path for a failed point)."""
-    spec, point, config = entry
-    trace = traces.get(spec.key)
-    if trace is None:
-        trace = spec.materialize()
-        traces[spec.key] = trace
+    """Run one point; every executor mode enters the engine here."""
     return execute_config(
         trace,
         point.protocol,
@@ -452,266 +369,247 @@ def _rerun_entry_serial(
         seed=point.seed,
         protocol_kwargs=point.protocol_kwargs,
         scenario=point.scenario,
+        checkpointer=checkpointer,
     )
 
 
-def _progress_drainer(
-    queue: Any, progress: ProgressFn, total: int,
-    stop: Optional[threading.Event] = None,
-) -> threading.Thread:
-    """Forward worker heartbeat records to the parent-side callback.
-
-    ``stop`` suppresses further callback invocations the moment it is set —
-    on SIGTERM/interrupt the pool is abandoned without waiting, and without
-    the gate a straggling worker's heartbeats would keep printing to stderr
-    after the sweep already unwound (the drain thread can outlive the pool).
-    The thread still consumes the queue until the sentinel arrives so the
-    Manager process can shut down cleanly.
-    """
-
-    def drain() -> None:
-        while True:
-            try:
-                item = queue.get()
-            except Exception:
-                return
-            if item == _PROGRESS_SENTINEL:
-                return
-            if stop is not None and stop.is_set():
-                continue  # drain silently: no post-shutdown heartbeats
-            try:
-                kind, idx, protocol, memory_kb, rate, seed, seconds, pid = item
-            except Exception:
-                continue
-            _emit_progress(
-                progress,
-                ProgressEvent(
-                    kind=kind,
-                    index=idx,
-                    total=total,
-                    protocol=protocol,
-                    memory_kb=memory_kb,
-                    rate=rate,
-                    seed=seed,
-                    seconds=seconds,
-                    pid=pid,
-                ),
-            )
-
-    thread = threading.Thread(
-        target=drain, name="repro-sweep-progress", daemon=True
-    )
-    thread.start()
-    return thread
+def _pool_task(
+    idx: int, trace_key: str, point: PointSpec, config: SimConfig
+) -> Tuple[ExperimentResult, float, int]:
+    """One point in a pool worker: ``(result, seconds, worker pid)``."""
+    if _chaos_index(CHAOS_POOL_EXIT) == idx:
+        os._exit(1)  # abrupt worker death: no exception, no cleanup
+    if _chaos_index(CHAOS_POOL_RAISE) == idx:
+        raise RuntimeError(f"chaos: injected pool failure for point {idx}")
+    t0 = perf_counter()
+    result = _run_point(_WORKER_TRACES[trace_key], point, config)
+    return result, perf_counter() - t0, os.getpid()
 
 
 def _run_pool(
     entries: Sequence[Entry],
+    todo: Sequence[int],
     n_jobs: int,
-    timeout: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[ExperimentResult]:
-    """Pool execution with per-point failure containment.
-
-    A point that crashes its worker, raises, or exceeds ``timeout`` does not
-    poison the rest of the sweep: it is retried once through the pool (while
-    the pool is still healthy), then re-run serially in the parent.  Only
-    when all three attempts fail does a :class:`PointExecutionError` —
-    carrying the point's resolved spec — propagate.  After a timeout the
-    pool is abandoned without waiting (the hung worker process is orphaned).
-
-    With ``progress`` set, a ``multiprocessing.Manager`` queue rides along
-    in the pool initargs (the proxy pickles; a raw ``mp.Queue`` would not)
-    and workers stream started/finished records through it; a parent-side
-    drain thread forwards them to the callback as they arrive.
-    """
-    specs: Dict[str, TraceSpec] = {}
-    for spec, _, _ in entries:
-        specs.setdefault(spec.key, spec)
-    results: List[Optional[ExperimentResult]] = [None] * len(entries)
-    failed: List[Tuple[int, BaseException]] = []
-    unhealthy = False  # hung or broken: no further pool submissions
-    manager = None
-    queue = None
-    drainer = None
-    drain_stop = threading.Event()
-    if progress is not None:
-        try:
-            manager = multiprocessing.Manager()
-            queue = manager.Queue()
-        except Exception:  # no Manager (restricted env): run without telemetry
-            manager = None
-            queue = None
-        if queue is not None:
-            drainer = _progress_drainer(queue, progress, len(entries), drain_stop)
-    pool = ProcessPoolExecutor(
-        max_workers=n_jobs, initializer=_pool_init, initargs=(specs, queue)
-    )
-    try:
-        futures = [
-            pool.submit(_run_task, i, spec.key, point, config)
-            for i, (spec, point, config) in enumerate(entries)
-        ]
-        for i, future in enumerate(futures):
-            try:
-                idx, result = future.result(timeout=timeout)
-                results[idx] = result
-            except _FuturesTimeout as exc:
-                future.cancel()
-                unhealthy = True
-                failed.append((i, exc))
-            except BrokenProcessPool as exc:
-                unhealthy = True
-                failed.append((i, exc))
-            except Exception as exc:  # a genuine experiment error in a worker
-                failed.append((i, exc))
-        if failed and not unhealthy:
-            # one pool retry for each failed point (transient crashes)
-            retries = [
-                (i, pool.submit(_run_task, i, entries[i][0].key, entries[i][1], entries[i][2]))
-                for i, _ in failed
-            ]
-            failed = []
-            for i, future in retries:
-                try:
-                    idx, result = future.result(timeout=timeout)
-                    results[idx] = result
-                except _FuturesTimeout as exc:
-                    future.cancel()
-                    unhealthy = True
-                    failed.append((i, exc))
-                except Exception as exc:
-                    failed.append((i, exc))
-    except KeyboardInterrupt:
-        # abandon in-flight points but surface the finished ones so the
-        # caller can record them and resume the sweep later; gate the drain
-        # thread first so straggler heartbeats don't print mid-unwind
-        unhealthy = True
-        drain_stop.set()
-        raise SweepInterrupted(results) from None
-    finally:
-        pool.shutdown(wait=not unhealthy, cancel_futures=True)
-        if drainer is not None:
-            try:
-                queue.put(_PROGRESS_SENTINEL)
-            except Exception:
-                pass
-            drainer.join(timeout=5.0)
-            # a hung join leaves the thread alive; make sure it stays mute
-            drain_stop.set()
-        if manager is not None:
-            try:
-                manager.shutdown()
-            except Exception:
-                pass
-    if failed:
-        # last resort: re-run the stragglers serially in this process
-        traces: Dict[str, Trace] = {}
-        for i, pool_exc in failed:
-            print(
-                f"repro: sweep point {i} failed in the pool ({pool_exc!r}); "
-                "re-running serially",
-                file=sys.stderr,
-            )
-            try:
-                t0 = perf_counter()
-                results[i] = _rerun_entry_serial(entries[i], traces)
-            except KeyboardInterrupt:
-                raise SweepInterrupted(results) from None
-            except Exception as exc:
-                spec, point, config = entries[i]
-                raise PointExecutionError(point, config, spec.key, exc) from exc
-            _, point, _ = entries[i]
-            _emit_progress(
-                progress,
-                ProgressEvent(
-                    kind="finished",
-                    index=i,
-                    total=len(entries),
-                    protocol=point.protocol,
-                    memory_kb=point.memory_kb,
-                    rate=point.rate,
-                    seed=point.seed,
-                    seconds=perf_counter() - t0,
-                    pid=os.getpid(),
-                ),
-            )
-    return results  # type: ignore[return-value]
-
-
-def _run_serial(
-    entries: Sequence[Entry],
-    materialized: Optional[Dict[str, Trace]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[ExperimentResult]:
-    traces: Dict[str, Trace] = dict(materialized or {})
-    out: List[ExperimentResult] = []
-    total = len(entries)
-    pid = os.getpid()
-    try:
-        for i, (spec, point, config) in enumerate(entries):
-            _serial_one(entries[i], traces, out, i, total, pid, progress)
-    except KeyboardInterrupt:
-        partial: List[Optional[ExperimentResult]] = list(out)
-        partial.extend([None] * (total - len(partial)))
-        raise SweepInterrupted(partial) from None
-    return out
-
-
-def _serial_one(
-    entry: Entry,
     traces: Dict[str, Trace],
-    out: List[ExperimentResult],
-    i: int,
-    total: int,
-    pid: int,
-    progress: Optional[ProgressFn],
-) -> None:
-    spec, point, config = entry
-    _emit_progress(
-        progress,
-        ProgressEvent(
-            kind="started",
-            index=i,
-            total=total,
-            protocol=point.protocol,
-            memory_kb=point.memory_kb,
-            rate=point.rate,
-            seed=point.seed,
-            pid=pid,
-        ),
+    timeout: Optional[float],
+    flag: Optional[InterruptFlag],
+    started: Callable[[int], None],
+    commit: Callable[..., None],
+) -> List[_Leftover]:
+    """Run the ``todo`` points over a process pool; return what is left.
+
+    At most ``n_jobs`` points are in flight, so ``started`` fires when a
+    worker actually takes a point.  A point that raises gets one pool
+    retry; one that breaks the pool or exceeds ``timeout`` marks the pool
+    unhealthy, which stops the hand-off and abandons the pool without
+    waiting (a hung worker is orphaned).  A triggered ``flag`` stops the
+    hand-off too, but in-flight points still finish and commit.  The
+    returned points (index order) are for the parent to re-run.
+    """
+    pool = ProcessPoolExecutor(
+        max_workers=n_jobs, initializer=_pool_init, initargs=(traces,)
     )
-    trace = traces.get(spec.key)
-    if trace is None:
-        trace = spec.materialize()
-        traces[spec.key] = trace
-    t0 = perf_counter()
-    out.append(
-        execute_config(
-            trace,
-            point.protocol,
-            config,
-            memory_kb=point.memory_kb,
-            rate=point.rate,
-            seed=point.seed,
-            protocol_kwargs=point.protocol_kwargs,
-            scenario=point.scenario,
+    queue = deque((i, None) for i in todo)
+    in_flight: Dict[Future, Tuple[int, Optional[BaseException], float]] = {}
+    leftover: List[_Leftover] = []
+    healthy = True
+    try:
+        while True:
+            while (queue and healthy and len(in_flight) < n_jobs
+                   and not (flag is not None and flag.triggered)):
+                i, previous = queue.popleft()
+                spec, point, config = entries[i]
+                future = pool.submit(_pool_task, i, spec.key, point, config)
+                in_flight[future] = (i, previous, monotonic())
+                started(i)
+            if not in_flight:
+                break
+            wait_s = None
+            if timeout is not None:
+                oldest = min(t0 for _, _, t0 in in_flight.values())
+                wait_s = max(0.0, oldest + timeout - monotonic())
+            wait(in_flight, timeout=wait_s, return_when=FIRST_COMPLETED)
+            for future, (i, previous, t0) in list(in_flight.items()):
+                if not future.done():
+                    if timeout is not None and monotonic() - t0 >= timeout:
+                        del in_flight[future]
+                        healthy = False
+                        leftover.append((i, _FuturesTimeout(
+                            f"point exceeded its {timeout:g} s timeout"
+                        )))
+                    continue
+                del in_flight[future]
+                exc = future.exception()
+                if exc is None:
+                    result, seconds, pid = future.result()
+                    commit(i, result, seconds, pid, "pool")
+                elif isinstance(exc, BrokenProcessPool):
+                    healthy = False
+                    leftover.append((i, exc))
+                elif previous is None:
+                    queue.append((i, exc))  # one pool retry (transient crashes)
+                else:
+                    leftover.append((i, exc))
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=healthy, cancel_futures=True)
+    return sorted(leftover + list(queue), key=lambda item: item[0])
+
+
+def execute(
+    entries: Sequence[Entry],
+    *,
+    jobs: Union[int, str, None] = 1,
+    run_dir: Optional[RunDir] = None,
+    every_events: int = DEFAULT_EVERY_EVENTS,
+    progress: Optional[ProgressFn] = None,
+    flag: Optional[InterruptFlag] = None,
+    on_result: Optional[ResultFn] = None,
+    traces: Optional[Dict[str, Trace]] = None,
+    timeout: Optional[float] = None,
+    injections: Optional[Mapping[int, Mapping[str, Any]]] = None,
+) -> List[ExperimentResult]:
+    """Run ``(trace_spec, point, config)`` entries; results in entry order.
+
+    The one executor behind sweeps, resumable runs and ``repro serve``.
+    Results are bit-identical for every ``jobs`` value.
+
+    * ``run_dir`` (a :class:`~repro.sim.checkpoint.RunDir`) makes the run
+      durable: points already committed there are restored, not re-run
+      (one ``executor.resume`` record each), every other point commits
+      its ``result.ckpt`` from this process as it lands, and points run
+      in this process checkpoint every ``every_events`` events.
+    * ``traces`` (keyed by trace-spec key) holds materialized traces; each
+      distinct trace a pending point needs is built once, here, and added
+      to it, so a caller that keeps the dict never rebuilds a trace.  Pool
+      workers inherit the dict through the pool initializer.
+    * ``jobs > 1`` runs points over a process pool, at most ``jobs`` in
+      flight.  A point that fails in the pool is retried there once, then
+      re-run in this process; only a point failing that too raises
+      :class:`PointExecutionError`.  ``timeout`` (seconds) bounds a point's
+      pool run.  If no pool can start, every point runs here.
+    * ``progress`` gets a ``started`` :class:`ProgressEvent` when a point is
+      handed to a worker or begins here, and one ``finished`` per point
+      (``seconds=None`` for restored points).  ``on_result`` is called
+      with ``(index, result, seconds)`` right after each point lands.
+    * ``flag`` (an :class:`~repro.sim.checkpoint.InterruptFlag`; with a
+      ``run_dir`` and no flag, a fresh one deferring SIGINT/SIGTERM)
+      stops the run: no further hand-off, in-flight pool points finish,
+      a point running here flushes a checkpoint.  The run then raises
+      :class:`SweepInterrupted` with the completed results, as does a
+      ``KeyboardInterrupt`` without a flag.
+    * ``injections`` is the chaos hook: per point index, an optional
+      ``crash_after_saves`` for that point's checkpointer.
+    """
+    entries = list(entries)
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    total = len(entries)
+    results: List[Optional[ExperimentResult]] = [None] * total
+    traces = {} if traces is None else traces
+    injections = injections or {}
+    recovery = run_dir.recovery_log() if run_dir is not None else None
+    if flag is None and run_dir is not None:
+        flag = InterruptFlag()
+
+    def emit(kind: str, i: int, seconds: Optional[float] = None,
+             pid: Optional[int] = None) -> None:
+        point = entries[i][1]
+        _emit_progress(progress, ProgressEvent(
+            kind=kind, index=i, total=total, protocol=point.protocol,
+            memory_kb=point.memory_kb, rate=point.rate, seed=point.seed,
+            seconds=seconds, pid=os.getpid() if pid is None else pid,
+        ))
+
+    def land(i: int, result: ExperimentResult, seconds: Optional[float],
+             pid: Optional[int] = None) -> None:
+        results[i] = result
+        emit("finished", i, seconds, pid)
+        if on_result is not None:
+            on_result(i, result, seconds)
+
+    def commit(i: int, result: ExperimentResult, seconds: float, pid: int,
+               mode: str) -> None:
+        if run_dir is not None:
+            run_dir.write_result(i, {
+                "index": i, "result": result, "info": {"execution": {"mode": mode}},
+            })
+        land(i, result, seconds, pid)
+
+    todo: List[int] = []
+    for i, (_, point, _) in enumerate(entries):
+        cached = run_dir.load_result(i) if run_dir is not None else None
+        if cached is None:
+            todo.append(i)
+            continue
+        recovery.emit(
+            event_types.EXECUTOR_RESUME, kind="point", index=i, protocol=point.protocol
         )
-    )
-    _emit_progress(
-        progress,
-        ProgressEvent(
-            kind="finished",
-            index=i,
-            total=total,
-            protocol=point.protocol,
-            memory_kb=point.memory_kb,
-            rate=point.rate,
-            seed=point.seed,
-            seconds=perf_counter() - t0,
-            pid=pid,
-        ),
-    )
+        land(i, cached["result"], None)
+
+    with flag if flag is not None else contextlib.nullcontext():
+        try:
+            for i in todo:
+                spec = entries[i][0]
+                if spec.key not in traces:
+                    traces[spec.key] = spec.materialize()
+            leftover: List[_Leftover] = [(i, None) for i in todo]
+            n_jobs = min(parse_jobs(jobs), len(todo))
+            if n_jobs > 1:
+                try:
+                    leftover = _run_pool(
+                        entries, todo, n_jobs, traces, timeout, flag,
+                        lambda i: emit("started", i), commit,
+                    )
+                except _POOL_ERRORS as exc:
+                    print(
+                        f"repro: process pool unavailable ({exc!r}); "
+                        "falling back to serial execution",
+                        file=sys.stderr,
+                    )
+                    leftover = [(i, None) for i in todo if results[i] is None]
+            for i, pool_exc in leftover:
+                if flag is not None and flag.triggered:
+                    if recovery is not None:
+                        recovery.emit(
+                            event_types.EXECUTOR_INTERRUPT, kind="between-points",
+                            index=i, signum=flag.signum,
+                        )
+                    raise SweepInterrupted(results)
+                if pool_exc is not None:
+                    print(
+                        f"repro: sweep point {i} failed in the pool ({pool_exc!r}); "
+                        "re-running serially",
+                        file=sys.stderr,
+                    )
+                spec, point, config = entries[i]
+                checkpointer = None
+                if run_dir is not None:
+                    checkpointer = SerialCheckpointer(
+                        run_dir.point_dir(i) / "serial",
+                        every_events=every_events,
+                        flag=flag,
+                        recovery=recovery,
+                        crash_after_saves=(injections.get(i) or {}).get(
+                            "crash_after_saves"
+                        ),
+                    )
+                emit("started", i)
+                t0 = perf_counter()
+                try:
+                    result = _run_point(traces[spec.key], point, config, checkpointer)
+                except ExecutionInterrupted:
+                    # the point's state is flushed; surface the completed prefix
+                    raise SweepInterrupted(results) from None
+                except Exception as exc:
+                    if pool_exc is None:
+                        raise
+                    raise PointExecutionError(point, config, spec.key, exc) from exc
+                commit(i, result, perf_counter() - t0, os.getpid(), "serial")
+        except KeyboardInterrupt:
+            raise SweepInterrupted(results) from None
+    return results  # type: ignore[return-value]
 
 
 def run_point_specs(
@@ -724,42 +622,14 @@ def run_point_specs(
 ) -> List[ExperimentResult]:
     """Execute ``(trace_spec, point, config)`` entries, possibly in parallel.
 
-    The general, multi-trace form of :func:`run_points`.  ``materialized``
-    optionally seeds the serial path's trace cache with already-built traces
-    (keyed by spec key) so a single-trace caller never rebuilds the trace it
-    already holds.
-
-    ``timeout`` (seconds, parallel runs only) bounds each point's pool
-    execution; a point that crashes, raises or hangs is retried once and
-    then re-run serially, and only a point failing all three attempts
-    raises :class:`PointExecutionError` with its resolved spec attached.
-
-    ``progress`` receives a :class:`ProgressEvent` as each point starts and
-    finishes — streamed over the pool boundary for parallel runs, invoked
-    inline for serial ones.  Callback exceptions are swallowed.
-
-    A SIGINT mid-sweep raises :class:`SweepInterrupted` carrying the
-    completed points (index-aligned, ``None`` for unfinished) so callers
-    can record the partial sweep and resume it later.
+    :func:`execute` without a run directory.  ``materialized`` optionally
+    seeds its trace table with already-built traces (keyed by spec key) so
+    a caller never rebuilds the trace it already holds.
     """
-    entries = list(entries)
-    if not entries:
-        return []
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
-    n_jobs = min(parse_jobs(jobs), len(entries))
-    if n_jobs > 1:
-        try:
-            return _run_pool(entries, n_jobs, timeout, progress)
-        except PointExecutionError:
-            raise
-        except _POOL_ERRORS as exc:
-            print(
-                f"repro: process pool unavailable ({exc!r}); "
-                "falling back to serial execution",
-                file=sys.stderr,
-            )
-    return _run_serial(entries, materialized, progress)
+    return execute(
+        entries, jobs=jobs, traces=dict(materialized or {}), timeout=timeout,
+        progress=progress,
+    )
 
 
 def run_points(
@@ -774,10 +644,10 @@ def run_points(
     """Run experiment ``points`` against one trace, fanning out over workers.
 
     Results are returned in ``points`` order and are bit-identical across
-    ``jobs`` values.  ``trace_spec`` lets callers that know a cheaper recipe
-    for the trace (a profile name or a CSV path) avoid pickling it to every
-    worker; by default the trace itself is shipped once per worker.
-    ``progress`` streams per-point :class:`ProgressEvent` records.
+    ``jobs`` values.  ``trace_spec`` names a cheaper recipe for the trace
+    (a profile name or a CSV path) that keeps the rerun provenance; by
+    default the trace is an inline spec.  ``progress`` streams per-point
+    :class:`ProgressEvent` records.
     """
     spec = trace_spec if trace_spec is not None else TraceSpec.inline(trace)
     entries: List[Entry] = []

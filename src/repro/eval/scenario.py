@@ -18,9 +18,9 @@ the single declarative description of such a grid:
 Specs are validated (unknown keys, types, ranges — ranges via
 ``SimConfig.__post_init__``/:mod:`repro.utils.validation`), round-trip
 through dicts and JSON, and resolve into the picklable
-``(TraceSpec, PointSpec, SimConfig)`` entries the parallel executor
-consumes — workers materialize everything from the spec, keeping the
-per-worker trace cache and bit-identical serial/parallel results.
+``(TraceSpec, PointSpec, SimConfig)`` entries the point executor
+consumes — everything materializes from the spec, once per trace, with
+bit-identical serial/parallel results.
 
 Every point run from a spec stamps its fully *resolved* single-point
 scenario (:func:`repro.eval.runner.point_scenario_dict`) into the run's
@@ -526,10 +526,10 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run every point of ``spec``, possibly in parallel (``jobs``).
 
-    ``trace`` optionally seeds the serial path's trace cache with an
+    ``trace`` optionally seeds the executor's trace table with an
     already-materialized trace for the spec's recipe (callers holding a
-    session-cached trace avoid rebuilding it); parallel workers always
-    materialize from the spec, reusing their per-worker cache.
+    session-cached trace avoid rebuilding it); pool workers run on the
+    same table.
     ``progress`` streams per-point telemetry (see
     :class:`repro.eval.runner.ProgressEvent`).
     """

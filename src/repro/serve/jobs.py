@@ -11,18 +11,19 @@ run root::
 
 ``job.json`` is the restart contract: a server killed outright (power
 loss, ``kill -9``) comes back, re-queues every job whose durable state is
-``queued`` or ``running``, and :func:`~repro.eval.resume.run_resumable`
-skips the points whose results already committed — metrics land
-bit-identical to an uninterrupted run (docs/reliability.md).
+``queued`` or ``running``, and the executor skips the points whose results
+already committed — metrics land bit-identical to an uninterrupted run
+(docs/reliability.md).
 
-Execution is strict FIFO through one dispatcher thread.  With ``jobs=1``
-each point runs in-process under the serial checkpointer (mid-point
-crash-safety and mid-point cancellation).  With ``jobs>=2`` the manager
-owns a long-lived shared :class:`ProcessPoolExecutor`: points fan out via
-:func:`~repro.eval.runner.run_tagged_task` (per-worker trace caches stay
-warm across jobs), each completed point commits its ``result.ckpt`` from
-the dispatcher, and a tagged drain thread routes worker heartbeats to the
-right job's event stream.
+Execution is strict FIFO through one dispatcher thread, and each job is
+one :func:`~repro.eval.runner.execute` call (through
+:func:`~repro.eval.resume.run_resumable`) with ``jobs=self.jobs``, the
+same executor as ``repro scenario run --run-dir``.  With ``jobs=1`` each
+point runs in-process under the serial checkpointer (mid-point
+crash-safety and mid-point cancellation).  With ``jobs>=2`` the job's
+points fan out over a pool forked for that job, which inherits the
+manager's trace cache; each point commits its ``result.ckpt`` as it lands
+and cancellation takes effect at the next point boundary.
 
 State machine: ``queued -> running -> done | failed | cancelled``; an
 interrupted-but-not-cancelled job (graceful shutdown) transitions back to
@@ -40,22 +41,13 @@ import queue
 import signal
 import threading
 import time
-from concurrent.futures import CancelledError, Future, as_completed
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.eval.experiment import ExperimentResult, execute_config
+from repro.eval.experiment import ExperimentResult
 from repro.eval.resume import create_run, run_resumable
-from repro.eval.runner import (
-    _PROGRESS_SENTINEL,
-    ProgressEvent,
-    SweepInterrupted,
-    _pool_init,
-    parse_jobs,
-    run_tagged_task,
-)
+from repro.eval.runner import ProgressEvent, SweepInterrupted, parse_jobs
 from repro.eval.scenario import ScenarioResult, ScenarioSpec, load_scenario
 from repro.serve.sse import EventStream
 from repro.sim.checkpoint import (
@@ -116,12 +108,9 @@ class Job:
         self.cancel_requested = False
         self.stream = EventStream()
         #: externally-owned interrupt flag; setting ``triggered`` cancels
-        #: the in-flight serial point at its next checkpoint tick
+        #: the in-flight serial point at its next checkpoint tick, or a
+        #: pooled job at its next point hand-off
         self.flag = InterruptFlag()
-        #: pool futures of the in-flight job (pool mode cancellation hook)
-        self.futures: List[Future] = []
-        #: per-point wall seconds streamed by pool workers (tagged drain)
-        self.point_seconds: Dict[int, float] = {}
         self._done_indexes: set = set()
 
     @property
@@ -218,21 +207,15 @@ class JobManager:
         self._stop = threading.Event()
         self._abandoned = False
         self._dispatcher: Optional[threading.Thread] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_manager = None
-        self._pool_queue = None
-        self._drainer: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> List[Job]:
-        """Recover durable jobs, start the pool (if any) and the dispatcher.
+        """Recover durable jobs and start the dispatcher.
 
         Returns the jobs re-queued from a previous process's ``queued`` /
         ``running`` state (the kill-and-restart recovery path).
         """
         recovered = self._recover()
-        if self.jobs > 1:
-            self._start_pool()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
         )
@@ -257,86 +240,12 @@ class JobManager:
                 if job.state == "running":
                     job.flag.triggered = True
                     job.flag.signum = signal.SIGTERM
-                    for future in job.futures:
-                        future.cancel()
         self._queue.put(None)
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout)
-        self._shutdown_pool(wait=not abandon)
         with self._lock:
             for job in self._jobs.values():
                 job.stream.close()
-
-    def _start_pool(self) -> None:
-        try:
-            import multiprocessing
-
-            self._pool_manager = multiprocessing.Manager()
-            self._pool_queue = self._pool_manager.Queue()
-        except Exception:  # restricted env: run the pool without heartbeats
-            self._pool_manager = None
-            self._pool_queue = None
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_pool_init,
-            initargs=({}, self._pool_queue),
-        )
-        if self._pool_queue is not None:
-            self._drainer = threading.Thread(
-                target=self._drain_tagged, name="repro-serve-drain", daemon=True
-            )
-            self._drainer.start()
-
-    def _shutdown_pool(self, *, wait: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
-            self._pool = None
-        if self._pool_queue is not None:
-            try:
-                self._pool_queue.put(_PROGRESS_SENTINEL)
-            except Exception:
-                pass
-        if self._drainer is not None:
-            self._drainer.join(timeout=5.0)
-            self._drainer = None
-        if self._pool_manager is not None:
-            try:
-                self._pool_manager.shutdown()
-            except Exception:
-                pass
-            self._pool_manager = None
-
-    def _drain_tagged(self) -> None:
-        """Route pool-worker heartbeats to the submitting job's stream."""
-        while True:
-            try:
-                item = self._pool_queue.get()
-            except Exception:
-                return
-            if item == _PROGRESS_SENTINEL:
-                return
-            try:
-                tag, kind, idx, protocol, memory_kb, rate, seed, seconds, pid = item
-            except Exception:
-                continue
-            job = self._jobs.get(tag)
-            if job is None or job.stream.closed:
-                continue
-            if kind == "started":
-                job.stream.publish(
-                    "point.started",
-                    {
-                        "index": idx,
-                        "total": job.n_points,
-                        "protocol": protocol,
-                        "memory_kb": memory_kb,
-                        "rate": rate,
-                        "seed": seed,
-                        "pid": pid,
-                    },
-                )
-            elif seconds is not None:
-                job.point_seconds[idx] = seconds
 
     # -- submission / inspection ---------------------------------------------------
     def submit(
@@ -409,12 +318,10 @@ class JobManager:
             if job.state == "queued":
                 self._finish(job, "cancelled", event="job.cancelled")
                 return job
-            # running: serial mode stops via the interrupt flag at the next
-            # checkpoint tick; pool mode cancels the not-yet-started futures
+            # running: the interrupt flag stops a serial point at its next
+            # checkpoint tick and a pooled job at its next point hand-off
             job.flag.triggered = True
             job.flag.signum = signal.SIGTERM
-            for future in job.futures:
-                future.cancel()
         return job
 
     def counts(self) -> Dict[str, int]:
@@ -425,13 +332,20 @@ class JobManager:
         return out
 
     # -- durable state --------------------------------------------------------------
-    def _persist(self, job: Job) -> None:
-        if self._abandoned:
-            return  # emulated hard kill: the durable state stays stale
-        atomic_write_bytes(
-            job.path / JOB_FILE,
-            json.dumps(job.durable_dict(), indent=2, sort_keys=True).encode("utf-8"),
-        )
+    def _persist(self, job: Job, state: Optional[str] = None) -> None:
+        """Write ``job.json``; with ``state``, write it first and only then
+        set it in memory, so a reader that sees the new state also finds
+        it on disk."""
+        if not self._abandoned:  # an emulated hard kill leaves it stale
+            record = job.durable_dict()
+            if state is not None:
+                record["state"] = state
+            atomic_write_bytes(
+                job.path / JOB_FILE,
+                json.dumps(record, indent=2, sort_keys=True).encode("utf-8"),
+            )
+        if state is not None:
+            job.state = state
 
     def _recover(self) -> List[Job]:
         """Load every durable job record; re-queue the unfinished ones."""
@@ -567,27 +481,23 @@ class JobManager:
                         "pid": ev.pid,
                     },
                 )
-            elif ev.seconds is not None:
-                job.point_seconds[ev.index] = ev.seconds
 
-        def on_result(index: int, result: ExperimentResult) -> None:
-            self._publish_finished_point(
-                job, index, result, job.point_seconds.get(index)
-            )
+        def on_result(
+            index: int, result: ExperimentResult, seconds: Optional[float]
+        ) -> None:
+            self._publish_finished_point(job, index, result, seconds)
 
         try:
-            if self._pool is not None:
-                res = self._execute_pool(job, rd, on_result)
-            else:
-                res, _infos = run_resumable(
-                    job.spec,
-                    rd,
-                    every_events=self.every_events,
-                    progress=progress,
-                    flag=job.flag,
-                    on_result=on_result,
-                    trace_cache=self.trace_cache,
-                )
+            res, _infos = run_resumable(
+                job.spec,
+                rd,
+                jobs=self.jobs,
+                every_events=self.every_events,
+                progress=progress,
+                flag=job.flag,
+                on_result=on_result,
+                trace_cache=self.trace_cache,
+            )
         except SweepInterrupted as exc:
             self._interrupted(job, exc.results)
             return
@@ -599,87 +509,10 @@ class JobManager:
             job.recorded = str(stats)
         self._finish(job, "done", event="job.finished")
 
-    def _execute_pool(self, job: Job, rd: RunDir, on_result) -> ScenarioResult:
-        """Fan one job's points over the shared long-lived worker pool.
-
-        Committed points are served from the run directory; the rest ship
-        as tagged tasks.  Each completed future commits its ``result.ckpt``
-        from this (dispatcher) thread, so crash-safety is per-point.  A
-        failed task re-runs in-process once before failing the job.
-        """
-        entries = job.spec.entries()
-        results: List[Optional[ExperimentResult]] = [None] * len(entries)
-        pending: List[int] = []
-        for i, (tspec, point, config) in enumerate(entries):
-            cached = rd.load_result(i)
-            if cached is not None:
-                results[i] = cached["result"]
-                on_result(i, cached["result"])
-            else:
-                pending.append(i)
-        if pending and not (job.cancel_requested or self._stop.is_set()):
-            futures: Dict[Future, int] = {}
-            with self._lock:
-                for i in pending:
-                    tspec, point, config = entries[i]
-                    futures[
-                        self._pool.submit(
-                            run_tagged_task, job.id, i, tspec, point, config
-                        )
-                    ] = i
-                job.futures = list(futures)
-            for future in as_completed(futures):
-                i = futures[future]
-                if job.cancel_requested or self._stop.is_set():
-                    for other in futures:
-                        other.cancel()
-                try:
-                    _tag, idx, result = future.result()
-                except CancelledError:
-                    continue
-                except Exception:
-                    if job.cancel_requested or self._stop.is_set():
-                        continue
-                    # one in-process retry, same path as the sweep executor
-                    tspec, point, config = entries[i]
-                    trace = self.trace_cache.get(tspec.key)
-                    if trace is None:
-                        trace = tspec.materialize()
-                        self.trace_cache[tspec.key] = trace
-                    idx, result = i, execute_config(
-                        trace,
-                        point.protocol,
-                        config,
-                        memory_kb=point.memory_kb,
-                        rate=point.rate,
-                        seed=point.seed,
-                        protocol_kwargs=point.protocol_kwargs,
-                        scenario=point.scenario,
-                    )
-                rd.write_result(
-                    idx,
-                    {
-                        "index": idx,
-                        "result": result,
-                        "info": {"execution": {"mode": "pool"}},
-                    },
-                )
-                results[idx] = result
-                on_result(idx, result)
-            job.futures = []
-        if any(r is None for r in results):
-            raise SweepInterrupted(results)
-        return ScenarioResult(
-            spec=job.spec,
-            points=[point for _, point, _ in entries],
-            results=list(results),  # type: ignore[arg-type]
-        )
-
     # -- transitions -----------------------------------------------------------------
     def _finish(self, job: Job, state: str, *, event: str) -> None:
-        job.state = state
         job.finished_at = time.time()
-        self._persist(job)
+        self._persist(job, state)
         job.stream.publish(event, job.as_dict())
         job.stream.close()
 
@@ -708,8 +541,7 @@ class JobManager:
         if job.cancel_requested:
             self._finish(job, "cancelled", event="job.cancelled")
             return
-        job.state = "queued"
-        self._persist(job)
+        self._persist(job, "queued")
         job.stream.publish(
             "job.interrupted",
             {"id": job.id, "done": job.done_points, "total": job.n_points},

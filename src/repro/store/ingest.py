@@ -397,6 +397,8 @@ def ingest_bench_snapshot(
     if isinstance(snapshot.get("max_rss_kb"), (int, float)):
         values["max_rss_kb"] = float(snapshot["max_rss_kb"])
     _flatten_numeric("figures", snapshot.get("figures") or {}, values)
+    _flatten_numeric("extra", snapshot.get("extra") or {}, values)
+    # snapshots written before extras moved to ``extra`` stored them here
     _flatten_numeric("parallel", snapshot.get("parallel") or {}, values)
     if values:
         db.record_run_metrics(run_id, values)

@@ -289,3 +289,82 @@ class TestRunDirectories:
         path = rd.point_dir(0) / RunDir.RESULT
         path.write_bytes(path.read_bytes()[:30])
         assert rd.load_result(0) is None
+
+
+# -- pooled run directories through the CLI ------------------------------------
+
+
+class TestPooledRunDirCli:
+    def test_interrupted_pooled_run_resumes_bit_identical(self, tmp_path, capsys):
+        import json
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        from repro.cli import main
+
+        repo = Path(__file__).resolve().parents[1]
+        manifest = tmp_path / "tiny.json"
+        # ten sub-second points over two workers: a SIGINT after the first
+        # commit leaves at most the two in-flight points to finish
+        manifest.write_text(json.dumps({
+            "name": "pooled-run-dir",
+            "trace": {"profile": "DART", "seed": 1},
+            "sim": {"workload_scale": 0.02},
+            "protocols": ["Direct"],
+            "seeds": list(range(1, 11)),
+        }))
+        run_dir = tmp_path / "run"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "scenario", "run", str(manifest),
+             "--run-dir", str(run_dir), "--jobs", "2"],
+            cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while not list(run_dir.glob("points/*/result.ckpt")):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no point committed in 120 s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=120.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert f"repro resume {run_dir}" in err
+        rd = RunDir(run_dir)
+        committed = [i for i in range(10) if rd.load_result(i) is not None]
+        assert 1 <= len(committed) < 10
+        assert all(
+            rd.load_result(i)["info"]["execution"]["mode"] == "pool"
+            for i in committed
+        )
+
+        def metrics(payload):
+            out = []
+            for m in payload["results"]:
+                m = dict(m)
+                m.pop("provenance", None)
+                m.pop("phase_timings", None)
+                out.append(m)
+            return out
+
+        capsys.readouterr()
+        assert main(["resume", str(run_dir), "--json"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert main(["scenario", "run", str(manifest), "--jobs", "1", "--json"]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        assert metrics(resumed) == metrics(reference)
+        restored = sorted(
+            r["index"] for r in rd.recovery_log().records()
+            if r["event"] == event_types.EXECUTOR_RESUME and r.get("kind") == "point"
+        )
+        assert restored == committed

@@ -467,26 +467,45 @@ class TestChaosEnvHooks:
 
 class TestSweepInterrupted:
     def test_serial_interrupt_carries_completed_prefix(
-        self, tiny_trace, tiny_profile, monkeypatch
+        self, tiny_trace, tiny_profile
     ):
-        import repro.eval.runner as runner_mod
-        from repro.eval.runner import SweepInterrupted
+        from repro.eval.runner import SweepInterrupted, execute
 
         entries = TestChaosEnvHooks()._entries(tiny_trace, tiny_profile)
-        real = runner_mod._serial_one
-        calls = {"n": 0}
 
-        def interrupting(entry, traces, out, i, total, pid, progress):
-            if calls["n"] == 1:
+        def interrupt_second_start(event):
+            # a SIGINT landing as the second point begins
+            if event.kind == "started" and event.index == 1:
                 raise KeyboardInterrupt
-            calls["n"] += 1
-            return real(entry, traces, out, i, total, pid, progress)
 
-        monkeypatch.setattr(runner_mod, "_serial_one", interrupting)
         with pytest.raises(SweepInterrupted) as err:
-            run_point_specs(entries, jobs=1)
+            execute(entries, jobs=1, progress=interrupt_second_start)
         results = err.value.results
         assert len(results) == len(entries)
         assert results[0] is not None and results[0].protocol == "DTN-FLOW"
         assert results[1] is None and results[2] is None
         assert "1/3 points complete" in str(err.value)
+
+    def test_pool_flag_stops_hand_off_after_in_flight_points(
+        self, tiny_trace, tiny_profile
+    ):
+        from repro.eval.runner import SweepInterrupted, execute
+        from repro.sim.checkpoint import InterruptFlag
+
+        entries = TestChaosEnvHooks()._entries(tiny_trace, tiny_profile)
+        serial = run_point_specs(entries, jobs=1)
+        flag = InterruptFlag()
+        landed = []
+
+        def trigger(index, result, seconds):
+            landed.append((index, seconds))
+            flag.triggered = True
+
+        with pytest.raises(SweepInterrupted) as err:
+            execute(entries, jobs=2, flag=flag, on_result=trigger)
+        results = err.value.results
+        # points 0 and 1 were in flight when the flag fired; both finish
+        # and land, point 2 is never handed off
+        assert sorted(i for i, _ in landed) == [0, 1]
+        assert all(isinstance(s, float) and s > 0 for _, s in landed)
+        assert results[:2] == serial[:2] and results[2] is None

@@ -12,16 +12,17 @@ Coverage map (ISSUE 10 satellite c):
 * kill -9 emulation: abandon the manager mid-job, restart on the same
   run root, every unfinished job resumes to ``done`` with metrics
   identical to an uninterrupted batch run (zero tolerance);
-* pool mode (``jobs=2``): points fan out over the shared worker pool;
+* pool mode (``jobs=2``): points fan out over worker processes; a
+  cancel keeps the committed points, a graceful stop resumes on a fresh
+  manager to batch-identical metrics, and every point that ran reports
+  its seconds;
 * replay: request validation, batch-metric parity, dilated wall-clock
-  pacing with monotonic timestamps, and the HTTP SSE endpoint;
-* the sweep progress-drain stop gate (satellite b).
+  pacing with monotonic timestamps, and the HTTP SSE endpoint.
 """
 
 from __future__ import annotations
 
 import json
-import queue as queue_mod
 import threading
 import time
 
@@ -407,6 +408,83 @@ def test_pool_mode_fans_points_over_shared_workers(tmp_path):
         manager.stop()
 
 
+def wait_for_state(job, states, deadline: float = WAIT) -> None:
+    end = time.monotonic() + deadline
+    while job.state not in states and time.monotonic() < end:
+        time.sleep(0.02)
+    assert job.state in states, f"{job.id} stuck in {job.state!r}"
+
+
+def finished_events(job) -> list:
+    return [d for _, e, d in job.stream.events_since(0) if e == "point.finished"]
+
+
+def test_pool_mode_cancel_keeps_committed_points_and_resumes(tmp_path):
+    from repro.eval.resume import resume_run
+
+    # 10 sub-second points over 2 workers: a cancel after the first commit
+    # lands with at most the two in-flight points still to finish
+    cancelled = scenario("pool-cancel", seeds=tuple(range(1, 11)))
+    stopped = scenario("pool-stop", seeds=tuple(range(1, 11)))
+    first = JobManager(tmp_path / "runs", jobs=2)
+    first.start()
+    try:
+        job = first.submit(cancelled)
+        deadline = time.monotonic() + WAIT
+        while job.done_points < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        first.cancel(job.id)
+        wait_for_state(job, ("cancelled", "done"))
+        assert job.state == "cancelled"
+        assert 1 <= job.done_points < job.n_points
+        rd = RunDir(job.run_path)
+        committed = [i for i in range(job.n_points) if rd.load_result(i)]
+        assert len(committed) == job.done_points
+        finished = finished_events(job)
+        assert sorted(d["index"] for d in finished) == committed
+        assert all(
+            isinstance(d["seconds"], float) and d["seconds"] > 0 for d in finished
+        )
+
+        # a graceful stop mid-job puts it back to queued on disk
+        paused = first.submit(stopped)
+        while paused.done_points < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        first.stop()
+    assert json.loads((paused.path / "job.json").read_text())["state"] == "queued"
+    prd = RunDir(paused.run_path)
+    restored = {i for i in range(paused.n_points) if prd.load_result(i)}
+    assert 1 <= len(restored) < paused.n_points
+
+    # the cancelled job's run directory holds a resumable partial; both
+    # grids differ only in name, so one batch run is the reference
+    expected = batch_metrics(cancelled)
+    resumed, _, _ = resume_run(job.run_path)
+    assert [physics(r.metrics.as_dict()) for r in resumed.results] == expected
+
+    # a fresh manager on the same run root finishes the stopped job
+    second = JobManager(tmp_path / "runs", jobs=2)
+    recovered = second.start()
+    try:
+        assert [j.id for j in recovered] == [paused.id]
+        assert second.get(job.id).state == "cancelled"
+        again = second.get(paused.id)
+        wait_for_state(again, ("done", "failed"))
+        assert again.state == "done"
+        got = [physics(r["metrics"]) for r in again.point_results()]
+        assert got == expected  # exact equality, no tolerance
+        finished = finished_events(again)
+        assert sorted(d["index"] for d in finished) == list(range(again.n_points))
+        for d in finished:
+            if d["index"] in restored:
+                assert d["seconds"] is None  # restored, not re-run
+            else:
+                assert isinstance(d["seconds"], float) and d["seconds"] > 0
+    finally:
+        second.stop()
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -490,33 +568,6 @@ def test_replay_point_source_resurrects_stored_scenario(server):
     frames = list(client.replay(point=shash[:12], speed=0, limit=10))
     assert frames[-1][0] == "replay.finished"
     assert frames[-1][1]["events_streamed"] == 10
-
-
-# ---------------------------------------------------------------------------
-# satellite b: the sweep progress-drain stop gate
-# ---------------------------------------------------------------------------
-
-
-def test_progress_drainer_stop_gate_silences_stragglers():
-    from repro.eval.runner import _PROGRESS_SENTINEL, _progress_drainer
-
-    q: "queue_mod.Queue" = queue_mod.Queue()
-    seen: list = []
-    stop = threading.Event()
-    thread = _progress_drainer(q, seen.append, total=2, stop=stop)
-    q.put(("started", 0, "Direct", 64, 1.0, 1, None, 123))
-    deadline = time.monotonic() + 5.0
-    while not seen and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(seen) == 1
-
-    # once stopped, straggler heartbeats are consumed but never forwarded
-    stop.set()
-    q.put(("finished", 0, "Direct", 64, 1.0, 1, 0.5, 123))
-    q.put(_PROGRESS_SENTINEL)
-    thread.join(timeout=5.0)
-    assert not thread.is_alive()
-    assert len(seen) == 1  # the post-stop record was swallowed
 
 
 # ---------------------------------------------------------------------------

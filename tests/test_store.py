@@ -303,6 +303,21 @@ class TestIngest:
         assert values["figures.test_fig11"] == 7.25
         assert values["parallel.speedup"] == 1.9
 
+        # record_bench extras now live under "extra"; the snapshot above is
+        # the older shape, kept in BENCH_sweeps.json histories
+        current = {
+            "suite": "benchmarks",
+            "timestamp": "2026-10-18T00:00:00+0000",
+            "suite_seconds": 3.5,
+            "figures": {"test_cold_start": 1.25},
+            "extra": {"cold_start": {"median_s": 0.66}},
+        }
+        assert ingest_payload(store, current).runs == 1
+        run = next(r for r in store.runs(kind="bench") if r["id"] != runs[0]["id"])
+        values = store.run_metric_rows(run["id"])
+        assert values["extra.cold_start.median_s"] == 0.66
+        assert not any(k.startswith("parallel.") for k in values)
+
     def test_unrecognized_payload_rejected(self, store):
         with pytest.raises(ValueError, match="no ingestible results"):
             ingest_payload(store, {"hello": "world"})
